@@ -238,9 +238,6 @@ class Poly:
             g = g // root
         return m, g
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.p)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"

@@ -381,47 +381,58 @@ def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: F
 
 
 def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:
-    """Exact minimum weight by exhausting projective message classes."""
+    """Exact minimum weight, from the split-table `weight_enumerator`."""
     nonzero = [w for w in weight_enumerator(generator, budget) if w > 0]
     if not nonzero:
         raise ValueError("the zero code has no minimum distance")
     return min(nonzero)
 
 
+TABLE_CAP = 1 << 19  # elements in the split table and in each batch of compares
+
+
+def _span_words(rows: np.ndarray, start: int, count: int, p: int) -> np.ndarray:
+    """Words of messages start .. start+count-1 over rows, read in base p (last row lowest)."""
+    idx = np.arange(start, start + count, dtype=np.int64)
+    words = np.zeros((count, rows.shape[1]), dtype=np.int64)
+    for row in rows[::-1]:
+        words = (words + (idx % p)[:, None] * row) % p
+        idx //= p
+    return words
+
+
 def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int, int]:
-    """Weight distribution of the full code (including the zero word)."""
-    p = generator.p
-    picked = generator.independent_row_indices()
-    rows = [generator.rows[i] for i in picked]
-    k = len(rows)
-    n = generator.ncols
+    """Weight distribution of the full code (including the zero word).
+
+    Exhausts the (p^k - 1)/(p - 1) projective classes of the k independent
+    rows at O(n) byte compares each; past `budget` classes, BudgetExceeded.
+    A split table holds the words spanned by the last r rows (r largest with
+    p^r * n <= TABLE_CAP) in the smallest unsigned dtype holding p - 1. A
+    prefix word w plus table word t vanishes at column j iff t_j = -w_j, so
+    one compare-and-count against the table weighs all p^r extensions of w.
+    No array holds more than max(TABLE_CAP, n) elements, whatever p is.
+    """
+    rows = [generator.rows[i] for i in generator.independent_row_indices()]
+    p, n, k = generator.p, generator.ncols, len(rows)
     classes = (p**k - 1) // (p - 1)
     if classes > budget:
         raise BudgetExceeded(classes, budget)
-    G = np.array(rows, dtype=np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = 1 << 17
-    for lead in range(k):
-        free = k - 1 - lead
-        total = p**free
-        start = 0
-        while start < total:
-            cnt = min(chunk, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            msgs = np.zeros((cnt, k), dtype=np.int64)
-            msgs[:, lead] = 1
-            for pos in range(free):
-                msgs[:, k - 1 - pos] = idx % p
-                idx = idx // p
-            words = (msgs @ G) % p
-            wts = np.count_nonzero(words, axis=1)
-            counts += np.bincount(wts, minlength=n + 1)
-            start += cnt
-    out = {0: 1}
-    for w, c in enumerate(counts):
-        if c and w > 0:
-            out[w] = int(c) * (p - 1)
-    return dict(sorted(out.items()))
+    G = np.array(rows, dtype=np.int64).reshape(k, n)
+    r = 0
+    while r < k and p ** (r + 1) * n <= TABLE_CAP:
+        r += 1
+    dtype = np.min_scalar_type(p - 1)
+    table = _span_words(G[k - r :], 0, p**r, p).T.astype(dtype, order="C")
+    counts = np.bincount(np.count_nonzero(table, axis=0), minlength=n + 1) // (p - 1)
+    batch = max(1, TABLE_CAP // max(1, p**r * n))
+    neg = -G[: k - r] % p
+    # Prefixes led by a 1 on row k - r - 1 - f are the message numbers p^f .. 2p^f - 1.
+    for f in range(k - r):
+        for start in range(p**f, 2 * p**f, batch):
+            target = _span_words(neg, start, min(batch, 2 * p**f - start), p).astype(dtype)
+            zeros = (table == target[:, :, None]).sum(axis=1, dtype=np.min_scalar_type(n))
+            counts += np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+    return {0: 1} | {w: int(c) * (p - 1) for w, c in enumerate(counts) if c and w > 0}
 
 
 @dataclass

@@ -123,10 +123,6 @@ def _interp_on_segment(q: Point, r: Point, zq: Fraction, zr: Fraction, p: Point)
     return (1 - lam) * zq + lam * zr
 
 
-def _signed2(a: Point, b: Point, c: Point) -> Fraction:
-    return _cross(a, b, c)
-
-
 class LatticePolytope:
     """Convex lattice polytope in Z^m, m in {1, 2}, with canonical vertex order."""
 
@@ -156,10 +152,6 @@ class LatticePolytope:
         if lo > hi:
             raise ValueError(f"empty interval [{lo},{hi}]")
         return cls([(lo,), (hi,)])
-
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence[int]]) -> "LatticePolytope":
-        return cls(points)
 
     def vertex_points(self) -> list[Point]:
         return [make_point(v) for v in self.vertices]
@@ -350,7 +342,7 @@ class ConcavePL:
                 pj, zj = items[j]
                 for k in range(j + 1, n):
                     pk, zk = items[k]
-                    d = _signed2(pi, pj, pk)
+                    d = _cross(pi, pj, pk)
                     if d == 0:
                         continue
                     g1 = ((zj - zi) * (pk[1] - pi[1]) - (zk - zi) * (pj[1] - pi[1])) / d
@@ -384,12 +376,12 @@ class ConcavePL:
                         best = val
                     for cdx in range(b + 1, len(others)):
                         qc, zc = others[cdx]
-                        denom = _signed2(qa, qb, qc)
+                        denom = _cross(qa, qb, qc)
                         if denom == 0:
                             continue
-                        la = _signed2(p, qb, qc) / denom
-                        lb = _signed2(qa, p, qc) / denom
-                        lc = _signed2(qa, qb, p) / denom
+                        la = _cross(p, qb, qc) / denom
+                        lb = _cross(qa, p, qc) / denom
+                        lc = _cross(qa, qb, p) / denom
                         if la >= 0 and lb >= 0 and lc >= 0:
                             val = la * za + lb * zb + lc * zc
                             if best is None or val > best:
@@ -545,7 +537,7 @@ class ConcavePL:
         for g, c, cell in self.facets():
             base = cell[0]
             for a, b in zip(cell[1:], cell[2:]):
-                area2 = _signed2(base, a, b)
+                area2 = _cross(base, a, b)
                 mean = (
                     g[0] * (base[0] + a[0] + b[0]) + g[1] * (base[1] + a[1] + b[1])
                 ) / 3 + c

@@ -175,6 +175,21 @@ def test_weight_enumerator_properties():
     assert head == {0: 1, 18: 120, 24: 864, 25: 7776}
 
 
+def test_toric_comparison_eleven():
+    code = build_code(toric_comparison_setup(11))
+    assert (code.n, code.k) == (100, 7)
+    gen = code.generator()
+    assert d_exact(gen) == 70
+    assert sum(weight_enumerator(gen).values()) == 11**7
+
+
+def test_zero_code():
+    for gen in [MatrixFp([[0, 0, 0], [0, 0, 0]], 7), MatrixFp([], 7)]:
+        assert weight_enumerator(gen) == {0: 1}
+        with pytest.raises(ValueError):
+            d_exact(gen)
+
+
 def test_budget_exceeded():
     code = build_code(record_example())
     with pytest.raises(BudgetExceeded) as err:
