@@ -6,12 +6,12 @@ Run from the repository root after installing the package:
 """
 
 from tcodes import (
+    SupportFunctionSlice,
     build_code,
     compare_with_product,
     d_exact,
     d_lower,
     d_upper,
-    dual_of_slice,
     euler_characteristic,
     genus_of_section,
     graded_sections,
@@ -22,7 +22,6 @@ from tcodes import (
     nu,
     point_divisor_dual,
     self_intersection,
-    slice_of_dual,
     validate,
     volume,
     weil_divisor,
@@ -59,8 +58,8 @@ print(" ", wd.render())
 banner("Support-function duality round trip")
 q1, q2 = marked_point_pair(curve)
 for P in (q1, q2):
-    h = slice_of_dual(dp.slice_at(P))
-    back = dual_of_slice(h)
+    h = SupportFunctionSlice(dp.slice_at(P).vertices)
+    back = h.dual()
     print(f"  slice at {P.render()} -> {len(h.terms)} min-plus terms -> round trip ok: {back == dp.slice_at(P)}")
 
 banner("Graded sections and dimension bounds")

@@ -110,10 +110,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, c: int, p: int) -> "Poly":
-        return cls([c], p)
-
-    @classmethod
     def x_minus(cls, x0: int, p: int) -> "Poly":
         return cls([-x0, 1], p)
 
@@ -228,15 +224,6 @@ class Poly:
             f = f // root
             m += 1
         return m
-
-    def deflate(self, x0: int) -> tuple[int, "Poly"]:
-        """Split off the (x - x0)-power: returns (m, g) with self = (x-x0)^m g, g(x0) != 0."""
-        m = self.multiplicity(x0)
-        g = self
-        root = Poly.x_minus(x0, self.p)
-        for _ in range(m):
-            g = g // root
-        return m, g
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -181,12 +181,6 @@ class LatticePolytope:
             if self.contains((x, y))
         ]
 
-    def interior_lattice_points(self) -> list[tuple[int, ...]]:
-        if self.m != 1:
-            raise ValueError("interior lattice points are needed only on intervals")
-        lo, hi = self.bounds()
-        return [(u,) for u in range(lo + 1, hi)]
-
     def volume(self) -> Fraction:
         """Length for m = 1, Euclidean area for m = 2."""
         if self.m == 1:
@@ -350,47 +344,21 @@ class ConcavePL:
                     c = zi - g1 * pi[0] - g2 * pi[1]
                     if all(g1 * p[0] + g2 * p[1] + c >= z for p, z in items):
                         planes.add((g1, g2, c))
+        # The envelope vertices are the corners of the facet cells (the hull
+        # drops points inside a cell edge); any other point tight on a facet
+        # lies on the envelope without being a vertex.
         facets: list[Facet] = []
+        on_env: set[Point] = set()
+        corners: set[Point] = set()
         for g1, g2, c in sorted(planes):
             tight = [p for p, z in items if g1 * p[0] + g2 * p[1] + c == z]
             cell = convex_hull_2d(tight)
             if len(cell) >= 3:
                 facets.append(((g1, g2), c, tuple(cell)))
+                on_env.update(tight)
+                corners.update(cell)
         assert facets, "full-dimensional hull must have at least one upper facet"
-
-        def env_value(p: Point) -> Fraction:
-            return min(g[0] * p[0] + g[1] * p[1] + c for g, c, _ in facets)
-
-        on_env = [(p, z) for p, z in items if env_value(p) == z]
-        vertices: list[tuple[Point, Fraction]] = []
-        collinear = False
-        for p, z in on_env:
-            others = [(q, w) for q, w in on_env if q != p]
-            best: Fraction | None = None
-            for a in range(len(others)):
-                qa, za = others[a]
-                for b in range(a + 1, len(others)):
-                    qb, zb = others[b]
-                    val = _interp_on_segment(qa, qb, za, zb, p)
-                    if val is not None and (best is None or val > best):
-                        best = val
-                    for cdx in range(b + 1, len(others)):
-                        qc, zc = others[cdx]
-                        denom = _cross(qa, qb, qc)
-                        if denom == 0:
-                            continue
-                        la = _cross(p, qb, qc) / denom
-                        lb = _cross(qa, p, qc) / denom
-                        lc = _cross(qa, qb, p) / denom
-                        if la >= 0 and lb >= 0 and lc >= 0:
-                            val = la * za + lb * zb + lc * zc
-                            if best is None or val > best:
-                                best = val
-            if best is None or best < z:
-                vertices.append((p, z))
-            else:
-                collinear = True
-        return cls(2, vertices, collinear, tuple(facets))
+        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(facets))
 
     # -- domain ----------------------------------------------------------
 
@@ -610,16 +578,6 @@ class SupportFunctionSlice:
     def __repr__(self) -> str:
         pieces = ", ".join(f"({tuple(map(str, u))}, {a})" for u, a in self.terms)
         return f"SupportFunctionSlice[{pieces}]"
-
-
-def dual_of_slice(s: SupportFunctionSlice) -> ConcavePL:
-    """Concave dual u -> min_v (<u, v> - s(v)), finite exactly on conv(terms)."""
-    return s.dual()
-
-
-def slice_of_dual(f: ConcavePL) -> SupportFunctionSlice:
-    """Inverse of dual_of_slice; graph vertices become the min-plus terms."""
-    return SupportFunctionSlice(f.vertices)
 
 
 def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:

@@ -146,11 +146,6 @@ class Curve:
         if self.kind != "elliptic":
             raise ValueError("group law requires an elliptic curve")
 
-    def describe(self) -> str:
-        if self.kind == "p1":
-            return f"p1 over F_{self.p}"
-        return f"y^2 = x^3 + {self.A}*x + {self.B} over F_{self.p}"
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Curve)

@@ -28,7 +28,6 @@ from tcodes import (
     d_lower,
     d_lower_surface,
     d_upper,
-    dual_of_slice,
     euler_characteristic,
     floor_sum_over_lattice,
     genus_of_section,
@@ -46,7 +45,6 @@ from tcodes import (
     ruled_divpoly,
     self_intersection,
     signed_ceiling_interior_sum,
-    slice_of_dual,
     toric_generator,
     toric_polytope,
     validate,
@@ -96,12 +94,12 @@ def finish(n: int, t0: float, limit: float, problems: list[str]) -> None:
 def test_criterion_01_surface_invariants():
     t0 = time.monotonic()
     problems = []
-    s1 = dual_of_slice(SupportFunctionSlice([((0,), 0), ((4,), 2)]))
+    s1 = SupportFunctionSlice([((0,), 0), ((4,), 2)]).dual()
     if any(s1.evaluate(u) != Fraction(u, 2) for u in range(5)) or s1.evaluate(
         Fraction(1, 2)
     ) != Fraction(1, 4):
         problems.append("first slice is not u/2")
-    s2 = dual_of_slice(SupportFunctionSlice([((0,), 0), ((2,), 2), ((3,), 1), ((4,), -1)]))
+    s2 = SupportFunctionSlice([((0,), 0), ((2,), 2), ((3,), 1), ((4,), -1)]).dual()
     if s2 != SURFACE.slice_at(Q2) or [s2.evaluate(u) for u in range(5)] != [0, 1, 2, 1, -1]:
         problems.append("second slice table mismatch")
     if self_intersection(SURFACE) != 15:
@@ -256,7 +254,7 @@ def test_criterion_06_property_suites():
     for _ in range(110):
         lo = rng.randint(-3, 0)
         f = random_lattice_slice(rng, lo, lo + rng.randint(2, 6))
-        if dual_of_slice(slice_of_dual(f)) != f:
+        if SupportFunctionSlice(f.vertices).dual() != f:
             problems.append(f"duality round trip fails on {f}")
             break
 

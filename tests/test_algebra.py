@@ -89,14 +89,10 @@ def test_poly_divmod_and_gcd():
     assert d.leading() == 1
 
 
-def test_poly_multiplicity_and_deflate():
+def test_poly_multiplicity():
     p = 7
     f = Poly.x_minus(3, p) ** 4 * Poly([1, 1], p)
     assert f.multiplicity(3) == 4
-    m, rest = f.deflate(3)
-    assert m == 4
-    assert rest.evaluate(3) != 0
-    assert rest * Poly.x_minus(3, p) ** 4 == f
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from tcodes import ConcavePL, LatticePolytope, SupportFunctionSlice, dual_of_slice, slice_of_dual, sup_convolution, toric_polytope
+from tcodes import ConcavePL, LatticePolytope, SupportFunctionSlice, sup_convolution, toric_polytope
 from tcodes.convex import (
+    _cross,
+    _interp_on_segment,
     clip_segment,
     convex_hull_2d,
     floor_sum_over_lattice,
     hull_contains,
+    make_point,
     polygon_area2,
     primitive_vector,
     signed_ceiling_interior_sum,
@@ -58,9 +61,6 @@ def test_hexagon_polytope():
     assert hexa.volume() == 3
     assert len(hexa.lattice_points()) == 7
     assert (0, 0) in hexa.lattice_points()
-    with pytest.raises(ValueError):
-        hexa.interior_lattice_points()
-    assert LatticePolytope.interval(0, 4).interior_lattice_points() == [(1,), (2,), (3,)]
     assert hexa.width_along(0) == 2 and hexa.width_along(1) == 2
     assert hexa.is_full_dimensional()
     assert hexa.contains((0, 0)) and not hexa.contains((1, 1))
@@ -98,6 +98,117 @@ def test_envelope_2d():
     assert f.domain_polytope() == hexagon()
     assert f.try_evaluate((2, 2)) is None
     assert sorted(f.domain_lattice_points()) == sorted(hexagon().lattice_points())
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    plane = ConcavePL.from_graph_points([((x, y), x + 2 * y + 1) for x, y in grid])
+    assert [p for p, _ in plane.vertices] == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert plane.had_collinear
+    # A roof folded along x = 1 over the box [0, 2]^2.
+    fold = [((x, y), min(x, 2 - x)) for x in (0, 1, 2) for y in (0, 2)]
+    roof = ConcavePL.from_graph_points(fold)
+    assert len(roof.vertices) == 6 and len(roof.facets()) == 2
+    assert not roof.had_collinear
+    ridge = ConcavePL.from_graph_points(fold + [((1, 1), 1)])
+    assert ridge.vertices == roof.vertices and ridge.facets() == roof.facets()
+    assert ridge.had_collinear
+
+
+def reference_envelope_2d(points):
+    """The former envelope: facets by plane search, then each tight point
+    classified against every pair and triple of the other tight points.
+    Returns (sorted vertices, had_collinear, facets)."""
+    reps = {}
+    for pos, val in points:
+        p, z = make_point(pos), Fraction(val)
+        if p not in reps or reps[p] < z:
+            reps[p] = z
+    items = list(reps.items())
+    n = len(items)
+    planes = set()
+    for i in range(n):
+        pi, zi = items[i]
+        for j in range(i + 1, n):
+            pj, zj = items[j]
+            for k in range(j + 1, n):
+                pk, zk = items[k]
+                d = _cross(pi, pj, pk)
+                if d == 0:
+                    continue
+                g1 = ((zj - zi) * (pk[1] - pi[1]) - (zk - zi) * (pj[1] - pi[1])) / d
+                g2 = ((zk - zi) * (pj[0] - pi[0]) - (zj - zi) * (pk[0] - pi[0])) / d
+                c = zi - g1 * pi[0] - g2 * pi[1]
+                if all(g1 * p[0] + g2 * p[1] + c >= z for p, z in items):
+                    planes.add((g1, g2, c))
+    facets = []
+    for g1, g2, c in sorted(planes):
+        cell = convex_hull_2d([p for p, z in items if g1 * p[0] + g2 * p[1] + c == z])
+        if len(cell) >= 3:
+            facets.append(((g1, g2), c, tuple(cell)))
+    on_env = [(p, z) for p, z in items if min(g[0] * p[0] + g[1] * p[1] + c for g, c, _ in facets) == z]
+    vertices = []
+    collinear = False
+    for p, z in on_env:
+        others = [(q, w) for q, w in on_env if q != p]
+        best = None
+        for a in range(len(others)):
+            qa, za = others[a]
+            for b in range(a + 1, len(others)):
+                qb, zb = others[b]
+                val = _interp_on_segment(qa, qb, za, zb, p)
+                if val is not None and (best is None or val > best):
+                    best = val
+                for cdx in range(b + 1, len(others)):
+                    qc, zc = others[cdx]
+                    denom = _cross(qa, qb, qc)
+                    if denom == 0:
+                        continue
+                    la = _cross(p, qb, qc) / denom
+                    lb = _cross(qa, p, qc) / denom
+                    lc = _cross(qa, qb, p) / denom
+                    if la >= 0 and lb >= 0 and lc >= 0:
+                        val = la * za + lb * zb + lc * zc
+                        if best is None or val > best:
+                            best = val
+        if best is None or best < z:
+            vertices.append((p, z))
+        else:
+            collinear = True
+    return tuple(sorted(vertices)), collinear, tuple(facets)
+
+
+def random_graph_sets(rng):
+    """Seeded 2D graph-point sets of at most 12 points, three kinds each round."""
+    while True:
+        # Scattered positions with rational values.
+        yield [
+            ((rng.randint(-3, 3), rng.randint(-3, 3)), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+            for _ in range(rng.randint(3, 12))
+        ]
+        # Mins of 1-3 affine pieces sampled on a lattice grid.
+        w = rng.randint(2, 4)
+        h = rng.randint(2, 12 // w)
+        pieces = [(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+        yield [((x, y), min(a * x + b * y + c for a, b, c in pieces)) for x in range(w) for y in range(h)]
+        # Repeated positions, and many points on one plane (duplicate planes).
+        a, b, c = rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3)
+        pts = [((x, y), a * x + b * y + c) for x, y in rng.sample([(x, y) for x in range(4) for y in range(4)], rng.randint(4, 8))]
+        pts += [(p, z - rng.randint(0, 2)) for p, z in rng.sample(pts, rng.randint(1, 4))]
+        yield pts
+
+
+def test_envelope_2d_matches_reference_classifier():
+    rng = random.Random(404)
+    checked = collinear = 0
+    for pts in random_graph_sets(rng):
+        if len(convex_hull_2d([make_point(p) for p, _ in pts])) < 3:
+            continue
+        f = ConcavePL.from_graph_points(pts)
+        vertices, flag, facets = reference_envelope_2d(pts)
+        assert (f.vertices, f.had_collinear, f.facets()) == (vertices, flag, facets), pts
+        checked += 1
+        collinear += flag
+        if checked == 120:
+            break
+    assert 20 <= collinear <= 100
 
 
 def test_affine_data():
@@ -134,9 +245,9 @@ def test_duality_round_trip_frozen():
     assert s.value(0) == -2
     assert s.value(1) == 0
     assert s.value(-1) == -4
-    f = dual_of_slice(s)
-    assert slice_of_dual(f) == s
-    assert dual_of_slice(slice_of_dual(f)) == f
+    f = s.dual()
+    assert SupportFunctionSlice(f.vertices) == s
+    assert SupportFunctionSlice(f.vertices).dual() == f
 
 
 def test_subdivision_vertices():
