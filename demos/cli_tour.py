@@ -40,8 +40,8 @@ run([sys.executable, "-m", "tcodes.cli", "example", "threefold", "info"])
 
 print()
 print("Failure modes map to distinct exit codes:")
-with tempfile.NamedTemporaryFile("w", suffix=".tcode", delete=False) as fh:
-    fh.write("field p=7\ncurve elliptic A=0 B=3\nbox [0,\n")
-    broken = fh.name
-run([sys.executable, "-m", "tcodes.cli", "validate", broken])
+with tempfile.TemporaryDirectory() as tmp:
+    broken = pathlib.Path(tmp) / "broken.tcode"
+    broken.write_text("field p=7\ncurve elliptic A=0 B=3\nbox [0,\n")
+    run([sys.executable, "-m", "tcodes.cli", "validate", str(broken)])
 run([sys.executable, "-m", "tcodes.cli", "distance", str(SURFACE), "--budget", "10"])

@@ -1,7 +1,11 @@
 """Smooth projective curves over prime fields: points, divisors, Riemann-Roch spaces.
 
 Supported curves are the projective line and elliptic curves in short Weierstrass
-form y^2 = x^3 + A x + B with p >= 5. Valuations are exact (no series truncation
+form y^2 = x^3 + A x + B with p >= 5. Functions are (a(x) + b(x) y) / c(x), and
+both kinds run on one local-expansion kernel; they differ in two local numbers
+only: the order e of x - x0 at an affine point (2 at elliptic 2-torsion points,
+else 1) and the pole order of x at infinity (1 on the line, 2 on the elliptic
+curve, where y has pole order 3). Valuations are exact (no series truncation
 guesswork): parity and norm arguments give the order, and Hensel-lifted local
 expansions give leading coefficients, each asserting against the other.
 """
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import Poly, check_prime_field, inv_mod, rational_floor
+from .algebra import MatrixFp, Poly, check_prime_field, inv_mod, rational_floor
 
 
 class CurvePoint(NamedTuple):
@@ -279,8 +283,6 @@ class FunctionFieldElement:
     def __mul__(self, other: "FunctionFieldElement") -> "FunctionFieldElement":
         a1, b1, c1 = self.a, self.b, self.c
         a2, b2, c2 = other.a, other.b, other.c
-        if self.curve.kind == "p1":
-            return FunctionFieldElement(self.curve, a1 * a2, Poly([], self.curve.p), c1 * c2)
         E = self.curve.rhs()
         return FunctionFieldElement(self.curve, a1 * a2 + b1 * b2 * E, a1 * b2 + a2 * b1, c1 * c2)
 
@@ -320,23 +322,31 @@ def _poly_on_series(f: Poly, xs: list[int], prec: int, p: int) -> list[int]:
     return acc
 
 
+def _ramification(curve: Curve, P: CurvePoint) -> int:
+    """Order e of x - x0 at the affine point P: 2 at elliptic 2-torsion points, else 1."""
+    return 2 if curve.kind == "elliptic" and P.y == 0 else 1
+
+
+def _x_pole_order(curve: Curve) -> int:
+    """Pole order of x at infinity: 1 on the line, 2 on the elliptic curve (y has 3)."""
+    return 1 if curve.kind == "p1" else 2
+
+
 def local_expansions(curve: Curve, P: CurvePoint, prec: int) -> tuple[list[int], list[int] | None]:
     """Series of x(t) and y(t) mod t^prec at an affine point, t the fixed uniformizer.
 
-    On the projective line t = x - x0 and the y series is None. At an elliptic
-    point with y0 != 0, t = x - x0 and y is the Hensel square root of the cubic;
-    at a 2-torsion point t = y and x solves the curve equation with x(0) = x0.
+    Where e = 1, t = x - x0; on the projective line the y series is None, and on
+    an elliptic curve y is the Hensel square root of the cubic. At a 2-torsion
+    point (e = 2) t = y and x solves the curve equation with x(0) = x0.
     """
     if P.is_infinity:
         raise ValueError("local expansions at infinity are handled by degree bookkeeping")
     p = curve.p
-    if curve.kind == "p1":
-        xs = [P.x, 1] + [0] * (prec - 2) if prec >= 2 else [P.x][:prec]
-        return xs, None
-    E = curve.rhs()
-    if P.y != 0:
+    if _ramification(curve, P) == 1:
         xs = ([P.x, 1] + [0] * (prec - 2))[:prec]
-        es = _poly_on_series(E, xs, prec, p)
+        if curve.kind == "p1":
+            return xs, None
+        es = _poly_on_series(curve.rhs(), xs, prec, p)
         ys = [P.y] + [0] * (prec - 1)
         inv2y = inv_mod(2 * P.y, p)
         for k in range(1, prec):
@@ -363,35 +373,28 @@ def local_expansions(curve: Curve, P: CurvePoint, prec: int) -> tuple[list[int],
     return xs, ys
 
 
-def _numerator_series(
-    curve: Curve, a: Poly, b: Poly, P: CurvePoint, prec: int
-) -> list[int]:
-    xs, ys = local_expansions(curve, P, prec)
-    out = _poly_on_series(a, xs, prec, curve.p)
-    if not b.is_zero():
-        assert ys is not None
-        bs = _poly_on_series(b, xs, prec, curve.p)
-        by = _series_mul(bs, ys, prec, curve.p)
-        out = [(u + v) % curve.p for u, v in zip(out, by)]
-    return out
+def _poly_order(curve: Curve, g: Poly, P: CurvePoint) -> int:
+    """Order of the nonzero polynomial g(x) at P."""
+    if P.is_infinity:
+        return -_x_pole_order(curve) * g.degree
+    return _ramification(curve, P) * g.multiplicity(P.x)
 
 
-def _numerator_valuation_affine(curve: Curve, a: Poly, b: Poly, P: CurvePoint) -> int:
-    """Exact order of a(x) + b(x) y at an affine point."""
-    p = curve.p
-    if curve.kind == "p1":
-        return a.multiplicity(P.x)
+def _numerator_order(curve: Curve, a: Poly, b: Poly, P: CurvePoint) -> int:
+    """Exact order of a(x) + b(x) y at P, for a and b not both zero."""
     if b.is_zero():
-        e = 1 if P.y != 0 else 2
-        return e * a.multiplicity(P.x)
+        return _poly_order(curve, a, P)
+    # y has a pole of order 3 at infinity and vanishes to order e - 1 at an affine point.
+    ord_by = _poly_order(curve, b, P) + (-3 if P.is_infinity else _ramification(curve, P) - 1)
     if a.is_zero():
-        if P.y != 0:
-            return b.multiplicity(P.x)
-        return 2 * b.multiplicity(P.x) + 1
-    if P.y == 0:
-        # Orders 2*mult(a) and 2*mult(b)+1 have distinct parities: no cancellation.
-        return min(2 * a.multiplicity(P.x), 2 * b.multiplicity(P.x) + 1)
-    w = min(a.multiplicity(P.x), b.multiplicity(P.x))
+        return ord_by
+    ord_a = _poly_order(curve, a, P)
+    if ord_a != ord_by:
+        return min(ord_a, ord_by)
+    # Orders of a and b y have distinct parities at infinity and at 2-torsion
+    # points, so a tie means e = 1, t = x - x0 and w = mult(a) = mult(b).
+    p = curve.p
+    w = ord_a
     root = Poly.x_minus(P.x, p)
     a1, b1 = a, b
     for _ in range(w):
@@ -405,66 +408,50 @@ def _numerator_valuation_affine(curve: Curve, a: Poly, b: Poly, P: CurvePoint) -
     return w + norm.multiplicity(P.x)
 
 
-def _infinity_valuation_parts(curve: Curve, f: FunctionFieldElement) -> tuple[int, int]:
-    """(numerator order, denominator order) at the point at infinity."""
-    if curve.kind == "p1":
-        return -f.a.degree, -f.c.degree
-    cands = []
-    if not f.a.is_zero():
-        cands.append(-2 * f.a.degree)
+def _orders(curve: Curve, f: FunctionFieldElement, P: CurvePoint) -> tuple[int, int]:
+    """(order of a + b y, order of c) at P for a nonzero f = (a + b y) / c."""
+    if not curve.contains(P):
+        raise ValueError(f"{P.render()} is not on the curve")
+    return _numerator_order(curve, f.a, f.b, P), _poly_order(curve, f.c, P)
+
+
+def _leading_coefficient(
+    curve: Curve, f: FunctionFieldElement, P: CurvePoint, num_ord: int, den_ord: int
+) -> int:
+    """Coefficient of t^(num_ord - den_ord) in f at P, given the orders from _orders."""
+    p = curve.p
+    if P.is_infinity:
+        # x = t^-m (1 + O(t)) with m = _x_pole_order and y = t^-3 (1 + O(t)),
+        # and a, b y never tie there, so leading coefficients of numerator and
+        # denominator are top polynomial coefficients.
+        a_leads = f.b.is_zero() or (not f.a.is_zero() and _poly_order(curve, f.a, P) == num_ord)
+        num_lead = f.a.leading() if a_leads else f.b.leading()
+        return num_lead * inv_mod(f.c.leading(), p) % p
+    prec = max(num_ord, den_ord) + 1
+    xs, ys = local_expansions(curve, P, prec)
+    num_series = _poly_on_series(f.a, xs, prec, p)
     if not f.b.is_zero():
-        cands.append(-3 - 2 * f.b.degree)
-    return min(cands), -2 * f.c.degree
+        by = _series_mul(_poly_on_series(f.b, xs, prec, p), ys, prec, p)
+        num_series = [(u + v) % p for u, v in zip(num_series, by)]
+    den_series = _poly_on_series(f.c, xs, prec, p)
+    assert all(c == 0 for c in num_series[:num_ord]) and num_series[num_ord] != 0
+    assert all(c == 0 for c in den_series[:den_ord]) and den_series[den_ord] != 0
+    return num_series[num_ord] * inv_mod(den_series[den_ord], p) % p
 
 
 def valuation(curve: Curve, f: FunctionFieldElement, P: CurvePoint) -> int:
     """Exact order of vanishing of f at P (poles negative)."""
     if f.is_zero():
         raise ValueError("the zero function has no valuation")
-    if not curve.contains(P):
-        raise ValueError(f"{P.render()} is not on the curve")
-    if P.is_infinity:
-        num, den = _infinity_valuation_parts(curve, f)
-        return num - den
-    num = _numerator_valuation_affine(curve, f.a, f.b, P)
-    if curve.kind == "p1":
-        den = f.c.multiplicity(P.x)
-    else:
-        e = 1 if P.y != 0 else 2
-        den = e * f.c.multiplicity(P.x)
-    return num - den
+    num_ord, den_ord = _orders(curve, f, P)
+    return num_ord - den_ord
 
 
 def leading_coefficient(curve: Curve, f: FunctionFieldElement, P: CurvePoint) -> int:
     """Coefficient of t^(ord_P f) in the local expansion of f at P."""
     if f.is_zero():
         raise ValueError("the zero function has no leading coefficient")
-    p = curve.p
-    if P.is_infinity:
-        # x has expansion t^-2 (1 + O(t)) and y has t^-3 (1 + O(t)) at the
-        # elliptic origin (t^-1 exactly on the line), so leading coefficients
-        # of numerator and denominator are their top polynomial coefficients.
-        if curve.kind == "p1":
-            num_lead = f.a.leading()
-        else:
-            ord_a = -2 * f.a.degree if not f.a.is_zero() else None
-            ord_b = -3 - 2 * f.b.degree if not f.b.is_zero() else None
-            if ord_b is None or (ord_a is not None and ord_a < ord_b):
-                num_lead = f.a.leading()
-            else:
-                num_lead = f.b.leading()
-        return num_lead * inv_mod(f.c.leading(), p) % p
-    num_ord = _numerator_valuation_affine(curve, f.a, f.b, P)
-    if curve.kind == "p1":
-        den_ord = f.c.multiplicity(P.x)
-    else:
-        den_ord = (1 if P.y != 0 else 2) * f.c.multiplicity(P.x)
-    prec = max(num_ord, den_ord) + 1
-    num_series = _numerator_series(curve, f.a, f.b, P, prec)
-    den_series = _numerator_series(curve, f.c, Poly([], p), P, prec)
-    assert all(c == 0 for c in num_series[:num_ord]) and num_series[num_ord] != 0
-    assert all(c == 0 for c in den_series[:den_ord]) and den_series[den_ord] != 0
-    return num_series[num_ord] * inv_mod(den_series[den_ord], p) % p
+    return _leading_coefficient(curve, f, P, *_orders(curve, f, P))
 
 
 def evaluate(curve: Curve, f: FunctionFieldElement, P: CurvePoint) -> int:
@@ -479,12 +466,13 @@ def twisted_evaluate(curve: Curve, f: FunctionFieldElement, P: CurvePoint, k: in
     """
     if f.is_zero():
         return 0
-    v = valuation(curve, f, P)
+    num_ord, den_ord = _orders(curve, f, P)
+    v = num_ord - den_ord
     if v + k < 0:
         raise ValueError(f"pole of order {-v} exceeds twist {k} at {P.render()}")
     if v + k > 0:
         return 0
-    return leading_coefficient(curve, f, P)
+    return _leading_coefficient(curve, f, P, num_ord, den_ord)
 
 
 def _points_above(curve: Curve, x0: int) -> list[CurvePoint]:
@@ -531,57 +519,27 @@ def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
 
 
 def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
-    from .algebra import MatrixFp
+    """L(D) as the (a + b y) / den whose low-order local coefficients vanish.
 
+    den clears the positive affine part of D; the monomials x^i and x^j y (the
+    latter on elliptic curves only) are capped by the pole allowed at infinity,
+    and each affine point where D allows less than den gives constraint rows.
+    """
     p = curve.p
-    if curve.kind == "p1":
-        n_inf = int(D[INFINITY])
-        den = Poly([1], p)
-        for P, c in D.items():
-            if not P.is_infinity and c > 0:
-                den = den * Poly.x_minus(P.x, p) ** int(c)
-        cap = den.degree + n_inf
-        if cap < 0:
-            return []
-        constraints: list[tuple[int, int]] = []
-        seen = set()
-        for P, c in D.items():
-            if P.is_infinity:
-                continue
-            r = den.multiplicity(P.x) - int(c)
-            if r > 0:
-                constraints.append((P.x, r))
-                seen.add(P.x)
-        rows = []
-        for x0, r in constraints:
-            # Coefficients of (x0 + t)^j up to t^(r-1) must vanish.
-            for d in range(r):
-                row = []
-                for j in range(cap + 1):
-                    shifted = Poly.x_minus(-x0, p) ** j  # (x + x0)^j = (x0 + t)^j with x -> t
-                    row.append(shifted.coeffs[d] if d < len(shifted.coeffs) else 0)
-                rows.append(row)
-        if rows:
-            kern = MatrixFp(rows, p).kernel_basis()
-        else:
-            kern = [[1 if i == j else 0 for i in range(cap + 1)] for j in range(cap + 1)]
-        return [
-            FunctionFieldElement(curve, Poly(vec, p), Poly([], p), den) for vec in kern
-        ]
-
-    n_O = int(D[INFINITY])
+    n_inf = int(D[INFINITY])
     mult_by_x: dict[int, int] = {}
     for P, c in D.items():
         if P.is_infinity or c <= 0:
             continue
-        need = int(c) if P.y != 0 else -(-int(c) // 2)
+        need = -(-int(c) // _ramification(curve, P))
         mult_by_x[P.x] = max(mult_by_x.get(P.x, 0), need)
     den = Poly([1], p)
     for x0, m in sorted(mult_by_x.items()):
         den = den * Poly.x_minus(x0, p) ** m
     dc = den.degree
-    cap_a = dc + rational_floor(Fraction(n_O, 2))
-    cap_b = dc + rational_floor(Fraction(n_O - 3, 2))
+    # x^i / den has a pole of order m (i - dc) at infinity and x^j y / den one of 2 (j - dc) + 3.
+    cap_a = dc + rational_floor(Fraction(n_inf, _x_pole_order(curve)))
+    cap_b = dc + rational_floor(Fraction(n_inf - 3, 2)) if curve.kind == "elliptic" else -1
     monomials: list[tuple[int, bool]] = [(i, False) for i in range(cap_a + 1)]
     monomials += [(j, True) for j in range(cap_b + 1)]
     if not monomials:
@@ -589,8 +547,7 @@ def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
     constrained: dict[CurvePoint, int] = {}
     for x0, m in mult_by_x.items():
         for P in _points_above(curve, x0):
-            e = 1 if P.y != 0 else 2
-            r = e * m - int(D[P])
+            r = _ramification(curve, P) * m - int(D[P])
             if r > 0:
                 constrained[P] = r
     for P, c in D.items():
@@ -600,7 +557,6 @@ def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
     for P in sorted(constrained, key=CurvePoint.sort_key):
         r = constrained[P]
         xs, ys = local_expansions(curve, P, r)
-        assert ys is not None
         x_pows = [[1] + [0] * (r - 1)]
         for _ in range(max(cap_a, cap_b)):
             x_pows.append(_series_mul(x_pows[-1], xs, r, p))
@@ -632,22 +588,23 @@ def _echelonize_by_valuation(
 ) -> list[FunctionFieldElement]:
     p = curve.p
     work = list(basis)
+    orders = [_orders(curve, f, anchor) for f in work]
     while True:
-        vals = [valuation(curve, f, anchor) for f in work]
         by_val: dict[int, list[int]] = {}
-        for i, v in enumerate(vals):
-            by_val.setdefault(v, []).append(i)
+        for i, (num_ord, den_ord) in enumerate(orders):
+            by_val.setdefault(num_ord - den_ord, []).append(i)
         clash = next((idxs for idxs in by_val.values() if len(idxs) > 1), None)
         if clash is None:
             break
         keep, other = clash[0], clash[1]
-        lc_keep = leading_coefficient(curve, work[keep], anchor)
-        lc_other = leading_coefficient(curve, work[other], anchor)
+        lc_keep = _leading_coefficient(curve, work[keep], anchor, *orders[keep])
+        lc_other = _leading_coefficient(curve, work[other], anchor, *orders[other])
         factor = lc_other * inv_mod(lc_keep, p) % p
         work[other] = work[other] - work[keep].scale(factor)
         assert not work[other].is_zero(), "basis was linearly dependent"
-    work.sort(key=lambda f: -valuation(curve, f, anchor))
-    return work
+        orders[other] = _orders(curve, work[other], anchor)
+    vals = [num_ord - den_ord for num_ord, den_ord in orders]
+    return [work[i] for i in sorted(range(len(work)), key=lambda i: -vals[i])]
 
 
 def divisor_of(curve: Curve, f: FunctionFieldElement, candidates: Iterable[CurvePoint]) -> Divisor:

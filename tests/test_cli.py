@@ -1,10 +1,14 @@
 """Tests for the command-line interface: outputs and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
-SAMPLE = str(Path(__file__).resolve().parent.parent / "demos" / "surface.tcode")
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = str(ROOT / "demos" / "surface.tcode")
 
 RULED_TEXT = """\
 field p=7
@@ -175,3 +179,16 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, ["validate", "/nonexistent/path.tcode"])
     assert code == EXIT_INVALID
     assert err != ""
+
+
+def test_cli_tour_leaves_no_temp_files(tmp_path):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "cli_tour.py")], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The broken problem file was written under TMPDIR and refused as a parse error.
+    assert f"validate {tmp_path}" in proc.stdout
+    assert f"exit code: {EXIT_PARSE}" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
