@@ -4,6 +4,11 @@ A code is built from a divisorial polytope, its curve, and evaluation points
 whose slices are affine with integer data. Rows are graded section basis
 elements, columns are (point, torus element) pairs, and entries twist the
 section value by the fixed local trivialization exponent at each point.
+
+The columns at one point form a block over the torus (F_q^*)^m, and a row of
+weight u is (twisted values at the l points) tensor the character t -> t^u.
+Code columns, `d_upper` witnesses and toric generators all come from one
+character table (`_characters`), and the rank splits by u mod q - 1.
 """
 
 from __future__ import annotations
@@ -102,37 +107,51 @@ class EvaluationSetup:
     def torus(self) -> list[tuple[int, ...]]:
         """All m-tuples over the unit group, in power order of the smallest
         primitive root (outer coordinates vary slowest)."""
-        q = self.q
-        g = primitive_root(q)
-        powers = [pow(g, i, q) for i in range(q - 1)]
-        out: list[tuple[int, ...]] = [()]
-        for _ in range(self.m):
-            out = [t + (w,) for t in out for w in powers]
-        return out
+        return list(zip(*_characters(self.q, self.m, np.eye(self.m, dtype=np.int64)).tolist()))
 
     def twist_exponent(self, i: int, u: tuple[int, ...]) -> int:
         v, c = self.twists[i]
         return sum(a * b for a, b in zip(u, v)) + c
 
 
-def _t_power(t: tuple[int, ...], u: tuple[int, ...], p: int) -> int:
-    out = 1
-    for base, e in zip(t, u):
-        out = out * pow(base, e % (p - 1), p) % p
-    return out
+def _characters(p: int, m: int, exponents) -> np.ndarray:
+    """Character table over (F_p^*)^m: row j holds t^(u_j) at every torus
+    element t = g^i (g the smallest primitive root, i in lex order), which is
+    g^(u_j . i mod p - 1). Code columns are (twisted values) x table mod p,
+    summed one product term at a time so every int64 value stays below
+    p^2 + p: exact for p < 3e9, far past any field whose table fits in memory.
+    """
+    g = primitive_root(p)
+    powers = np.array([pow(g, i, p) for i in range(p - 1)], dtype=np.int64)
+    i = np.indices((p - 1,) * m).reshape(m, -1)
+    U = np.array(exponents, dtype=np.int64).reshape(-1, m) % (p - 1)
+    return powers[U @ i % (p - 1)]
 
 
 @dataclass
 class EvaluationCode:
-    """Raw evaluation matrix with row labels and derived rank data."""
+    """Raw evaluation matrix with row labels and derived rank data.
+
+    A `build_code` row is its l-vector (the entries at t = 1) tensor a
+    character, and distinct characters are independent on the torus, so a row
+    is selected exactly when its l-vector is independent of the earlier ones
+    whose weights agree with its weight mod q - 1.
+    """
 
     setup: EvaluationSetup
     rows: list[list[int]]
     row_labels: list[tuple[tuple[int, ...], int]]
 
     def __post_init__(self) -> None:
-        mat = MatrixFp(self.rows, self.setup.q)
-        self.selected = mat.independent_row_indices()
+        q, width = self.setup.q, (self.setup.q - 1) ** self.setup.m
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for idx, (u, _) in enumerate(self.row_labels):
+            classes.setdefault(tuple(c % (q - 1) for c in u), []).append(idx)
+        self.selected = sorted(
+            idxs[j]
+            for idxs in classes.values()
+            for j in MatrixFp([self.rows[i][::width] for i in idxs], q).independent_row_indices()
+        )
 
     @property
     def n(self) -> int:
@@ -158,19 +177,14 @@ def build_code(setup: EvaluationSetup) -> EvaluationCode:
     """Evaluate every graded basis element at every (point, torus) column."""
     curve = setup.curve
     p = setup.q
-    torus = setup.torus()
-    sections = graded_sections(setup.dp)
+    pieces = graded_sections(setup.dp).pieces
     rows: list[list[int]] = []
     labels: list[tuple[tuple[int, ...], int]] = []
-    for piece in sections.pieces:
+    for piece, chi in zip(pieces, _characters(p, setup.m, [piece.u for piece in pieces])):
         u = piece.u
-        t_pows = [_t_power(t, u, p) for t in torus]
         for j, f in enumerate(piece.basis):
-            row: list[int] = []
-            for i, P in enumerate(setup.points):
-                val = twisted_evaluate(curve, f, P, setup.twist_exponent(i, u))
-                row.extend(val * tp % p for tp in t_pows)
-            rows.append(row)
+            vals = [twisted_evaluate(curve, f, P, setup.twist_exponent(i, u)) for i, P in enumerate(setup.points)]
+            rows.append((np.array(vals, dtype=np.int64)[:, None] * chi % p).ravel().tolist())
             labels.append((u, j))
     return EvaluationCode(setup, rows, labels)
 
@@ -348,36 +362,26 @@ def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: F
     g = primitive_root(p)
     base = tuple(s for s, _ in B)
     sides = [t - s for s, t in B]
-    # Coefficients of prod_j (T - eta_j) with eta_j the first r powers of g.
-    axis_polys = []
+    shifts: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for r in sides:
+        # Coefficients of prod_j (T - eta_j) with eta_j the first r powers of g.
         poly = Poly([1], p)
         for j in range(r):
             poly = poly * Poly([-pow(g, j, p), 1], p)
-        axis_polys.append(poly.coeffs)
-    shifts: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for coeffs in axis_polys:
-        shifts = [
-            (e + (d,), c * coeffs[d] % p)
-            for e, c in shifts
-            for d in range(len(coeffs))
-        ]
-    torus = setup.torus()
-    weight = 0
-    any_nonzero = False
-    for i, P in enumerate(setup.points):
-        vals = {}
-        for e, c in shifts:
-            if c == 0:
-                continue
-            u = tuple(b + d for b, d in zip(base, e))
-            vals[u] = (vals.get(u, 0) + c * twisted_evaluate(curve, f, P, setup.twist_exponent(i, u))) % p
-        for t in torus:
-            entry = sum(c * _t_power(t, u, p) for u, c in vals.items()) % p
-            if entry:
-                weight += 1
-                any_nonzero = True
-    return weight if any_nonzero else None
+        shifts = [(e + (d,), c * a % p) for e, c in shifts for d, a in enumerate(poly.coeffs)]
+    terms = [(tuple(b + d for b, d in zip(base, e)), c) for e, c in shifts if c]
+    V = np.array(
+        [
+            [c * twisted_evaluate(curve, f, P, setup.twist_exponent(i, u)) % p for u, c in terms]
+            for i, P in enumerate(setup.points)
+        ],
+        dtype=np.int64,
+    ).reshape(setup.l, len(terms))
+    table = _characters(p, setup.m, [u for u, _ in terms])
+    cols = np.zeros((setup.l, table.shape[1]), dtype=np.int64)
+    for j in range(len(terms)):
+        cols = (cols + V[:, j, None] * table[j]) % p
+    return int(np.count_nonzero(cols)) or None
 
 
 def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:
@@ -461,9 +465,7 @@ def reed_solomon_generator(p: int, k: int) -> MatrixFp:
     """[q-1, k] Reed-Solomon code evaluated on the unit group in power order."""
     if not 1 <= k <= p - 1:
         raise ValueError("dimension must be between 1 and q-1")
-    g = primitive_root(p)
-    points = [pow(g, i, p) for i in range(p - 1)]
-    return MatrixFp([[pow(x, i, p) for x in points] for i in range(k)], p)
+    return toric_generator(p, [(i,) for i in range(k)])
 
 
 def one_point_ag_generator(curve: Curve, tau: int, points: list[CurvePoint]) -> MatrixFp:
@@ -548,17 +550,7 @@ def compare_with_product(curve: Curve, k1: int, tau: int, points: list[CurvePoin
     return ProductComparison(k1, tau, a, alpha, b, k_prod, d_prod, k_t, d_t)
 
 
-def toric_generator(p: int, lattice_points: list[tuple[int, int]]) -> MatrixFp:
-    """Toric code generator: monomials at lattice points over the torus squared."""
-    g = primitive_root(p)
-    powers = [pow(g, i, p) for i in range(p - 1)]
-    cols = [(s1, s2) for s1 in powers for s2 in powers]
-    rows = []
-    for z1, z2 in lattice_points:
-        rows.append(
-            [
-                pow(s1, z1 % (p - 1), p) * pow(s2, z2 % (p - 1), p) % p
-                for s1, s2 in cols
-            ]
-        )
-    return MatrixFp(rows, p)
+def toric_generator(p: int, lattice_points: list[tuple[int, ...]]) -> MatrixFp:
+    """Toric code generator: the characters of the lattice points over (F_p^*)^m."""
+    m = len(lattice_points[0]) if lattice_points else 1
+    return MatrixFp(_characters(p, m, lattice_points).tolist(), p)

@@ -46,6 +46,7 @@ class DivisorialPolytope:
         self.curve = curve
         self.box = box
         self.slices = {P: s for P, s in slices.items()}
+        self._zero_slice: ConcavePL | None = None
 
     @property
     def m(self) -> int:
@@ -57,7 +58,10 @@ class DivisorialPolytope:
     def slice_at(self, P: CurvePoint) -> ConcavePL:
         if P in self.slices:
             return self.slices[P]
-        return ConcavePL.constant_on(self.box, 0)
+        if self._zero_slice is None:
+            # Built once: nothing mutates a ConcavePL, so every unmarked point shares it.
+            self._zero_slice = ConcavePL.constant_on(self.box, 0)
+        return self._zero_slice
 
     def value_at(self, u) -> Divisor:
         return Divisor({P: s.evaluate(u) for P, s in self.slices.items()})

@@ -7,12 +7,17 @@ import pytest
 from tcodes import (
     INFINITY,
     BudgetExceeded,
+    ConcavePL,
     Curve,
     CurvePoint,
+    DivisorialPolytope,
     EvaluationSetup,
+    LatticePolytope,
     MatrixFp,
+    Poly,
     admissible_points,
     build_code,
+    codes,
     compare_with_product,
     d_exact,
     d_lower,
@@ -28,6 +33,8 @@ from tcodes import (
     toric_generator,
     weight_enumerator,
 )
+from tcodes.algebra import primitive_root
+from tcodes.curve import twisted_evaluate
 from tcodes.instances import (
     marked_point_pair,
     p1_torus_points,
@@ -40,6 +47,9 @@ from tcodes.instances import (
     toric_comparison_example,
     toric_comparison_setup,
 )
+from tcodes.tvariety import graded_sections
+
+from test_properties import small_code_instance
 
 E7 = standard_elliptic()
 Q1, Q2 = marked_point_pair(E7)
@@ -200,8 +210,6 @@ def test_budget_exceeded():
 
 def test_zero_slice_toric_code():
     curve = Curve.p1(5)
-    from tcodes import ConcavePL, DivisorialPolytope, LatticePolytope
-
     dp = DivisorialPolytope(
         curve,
         LatticePolytope.interval(0, 2),
@@ -324,3 +332,222 @@ def test_product_comparison_sound_regime():
                 assert got.d_strictly_better, (k1, tau, l)
                 checked += 1
     assert checked >= 6
+
+
+# Oracles: the column code before the character table, kept as it was.
+
+
+def reference_torus(q, m):
+    g = primitive_root(q)
+    powers = [pow(g, i, q) for i in range(q - 1)]
+    out = [()]
+    for _ in range(m):
+        out = [t + (w,) for t in out for w in powers]
+    return out
+
+
+def reference_t_power(t, u, p):
+    out = 1
+    for base, e in zip(t, u):
+        out = out * pow(base, e % (p - 1), p) % p
+    return out
+
+
+def reference_build_code(setup):
+    """Rows, labels and the full-matrix `independent_row_indices` selection."""
+    curve, p = setup.curve, setup.q
+    torus = reference_torus(p, setup.m)
+    rows, labels = [], []
+    for piece in graded_sections(setup.dp).pieces:
+        u = piece.u
+        t_pows = [reference_t_power(t, u, p) for t in torus]
+        for j, f in enumerate(piece.basis):
+            row = []
+            for i, P in enumerate(setup.points):
+                val = twisted_evaluate(curve, f, P, setup.twist_exponent(i, u))
+                row.extend(val * tp % p for tp in t_pows)
+            rows.append(row)
+            labels.append((u, j))
+    return rows, labels, MatrixFp(rows, p).independent_row_indices()
+
+
+def reference_witness_weight(setup, B, f):
+    curve, p = setup.curve, setup.q
+    g = primitive_root(p)
+    base = tuple(s for s, _ in B)
+    sides = [t - s for s, t in B]
+    axis_polys = []
+    for r in sides:
+        poly = Poly([1], p)
+        for j in range(r):
+            poly = poly * Poly([-pow(g, j, p), 1], p)
+        axis_polys.append(poly.coeffs)
+    shifts = [((), 1)]
+    for coeffs in axis_polys:
+        shifts = [(e + (d,), c * coeffs[d] % p) for e, c in shifts for d in range(len(coeffs))]
+    weight = 0
+    any_nonzero = False
+    for i, P in enumerate(setup.points):
+        vals = {}
+        for e, c in shifts:
+            if c == 0:
+                continue
+            u = tuple(b + d for b, d in zip(base, e))
+            vals[u] = (vals.get(u, 0) + c * twisted_evaluate(curve, f, P, setup.twist_exponent(i, u))) % p
+        for t in reference_torus(p, setup.m):
+            entry = sum(c * reference_t_power(t, u, p) for u, c in vals.items()) % p
+            if entry:
+                weight += 1
+                any_nonzero = True
+    return weight if any_nonzero else None
+
+
+def reference_toric_generator(p, lattice_points):
+    g = primitive_root(p)
+    powers = [pow(g, i, p) for i in range(p - 1)]
+    cols = [(s1, s2) for s1 in powers for s2 in powers]
+    rows = []
+    for z1, z2 in lattice_points:
+        rows.append([pow(s1, z1 % (p - 1), p) * pow(s2, z2 % (p - 1), p) % p for s1, s2 in cols])
+    return MatrixFp(rows, p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_code_matches_reference(setup, monkeypatch):
+    """Rows, labels, selection, and every witness weight behind d_upper."""
+    code = build_code(setup)
+    rows, labels, selected = reference_build_code(setup)
+    assert setup.torus() == reference_torus(setup.q, setup.m)
+    assert (code.rows, code.row_labels, code.selected) == (rows, labels, selected)
+    checked = []
+    kernel = codes._witness_weight
+
+    def both(setup_, B, f):
+        got = kernel(setup_, B, f)
+        assert got == reference_witness_weight(setup_, B, f), B
+        checked.append(B)
+        return got
+
+    fast = _outcome(d_upper, setup)
+    with monkeypatch.context() as mp:
+        mp.setattr(codes, "_witness_weight", both)
+        assert _outcome(d_upper, setup) == fast
+    return code, fast, checked
+
+
+def builtin_setups():
+    return {
+        "surface": surface_code_setup(),
+        "surface-p1": EvaluationSetup.build(surface_example(Curve.p1(7))),
+        "surface-p1-11": EvaluationSetup.build(surface_example(Curve.p1(11))),
+        "threefold": threefold_code_setup(),
+        "record": record_example(),
+        "toric-7": toric_comparison_setup(7),
+        "toric-11": toric_comparison_setup(11),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(builtin_setups()))
+def test_builtin_codes_match_reference(name, monkeypatch):
+    _, upper, checked = assert_code_matches_reference(builtin_setups()[name], monkeypatch)
+    assert upper is ValueError or checked
+
+
+def test_small_codes_match_reference(monkeypatch):
+    rng = random.Random(601)
+    seen = 0
+    while seen < 30:
+        setup = small_code_instance(rng)
+        if setup is None:
+            continue
+        assert_code_matches_reference(setup, monkeypatch)
+        seen += 1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_wide_p1_box_shares_characters(p, monkeypatch):
+    # Weights u and u + q - 1 share a character on a box of width >= q - 1;
+    # a sloped slice at 0 makes their l-vectors depend on each other.
+    curve = Curve.p1(p)
+    zero = CurvePoint.affine(0, 0, p)
+    width = p
+    for slices in (
+        {INFINITY: ConcavePL.from_graph_points([((0,), 2), ((width,), 2)])},
+        {
+            INFINITY: ConcavePL.from_graph_points([((0,), 1), ((width,), 1)]),
+            zero: ConcavePL.from_graph_points([((0,), 0), ((width,), width)]),
+        },
+    ):
+        dp = DivisorialPolytope(curve, LatticePolytope.interval(0, width), slices)
+        setup = EvaluationSetup.build(dp)
+        code, _, _ = assert_code_matches_reference(setup, monkeypatch)
+        classes = {}
+        for u, _ in code.row_labels:
+            classes.setdefault(u[0] % (p - 1), set()).add(u)
+        assert any(len(us) > 1 for us in classes.values())
+        assert code.k < len(code.rows)
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (11, 1), (5, 2), (7, 2), (3, 3)])
+def test_character_columns_follow_torus_order(p, m):
+    rng = random.Random(p * 10 + m)
+    exponents = [tuple(rng.randint(-2 * p, 2 * p) for _ in range(m)) for _ in range(6)]
+    table = codes._characters(p, m, exponents)
+    assert table.shape == (6, (p - 1) ** m)
+    for row, u in zip(table.tolist(), exponents):
+        assert row == [reference_t_power(t, u, p) for t in reference_torus(p, m)]
+
+
+def test_setup_torus_is_the_kernel_order():
+    for setup in (surface_code_setup(), threefold_code_setup()):
+        assert setup.torus() == reference_torus(setup.q, setup.m)
+        table = codes._characters(setup.q, setup.m, [(1,) * setup.m])
+        assert table[0].tolist() == [reference_t_power(t, (1,) * setup.m, setup.q) for t in setup.torus()]
+
+
+def test_toric_generator_matches_2d_reference():
+    rng = random.Random(602)
+    inputs = [
+        (7, [(u, v) for u in range(3) for v in range(3 - u)]),
+        (7, [(0, 0), (1, 0), (0, 1), (6, 0), (1, 1), (0, 7), (2, 1)]),
+        (5, [(0, 0), (1, 0), (0, 1), (4, 0), (1, 1), (0, 4)]),
+    ]
+    for _ in range(20):
+        p = rng.choice([2, 3, 5, 7, 11])
+        inputs.append((p, [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))]))
+    for p, pts in inputs:
+        assert toric_generator(p, pts) == reference_toric_generator(p, pts)
+
+
+def test_toric_generator_3d_matches_pow_formula():
+    p = 5
+    g = primitive_root(p)
+    pts = [(0, 0, 0), (1, 0, 2), (3, -1, 1), (4, 4, 4), (-2, 7, 1)]
+    gen = toric_generator(p, pts)
+    assert (gen.nrows, gen.ncols) == (5, 64)
+    for row, (a, b, c) in zip(gen.rows, pts):
+        want = [
+            pow(g, (i * a + j * b + k * c) % (p - 1), p)
+            for i in range(p - 1)
+            for j in range(p - 1)
+            for k in range(p - 1)
+        ]
+        assert row == want
+
+
+def test_reed_solomon_is_the_one_dimensional_toric_code():
+    for p in (2, 3, 5, 7, 11, 13):
+        g = primitive_root(p)
+        points = [pow(g, i, p) for i in range(p - 1)]
+        for k in range(1, p):
+            want = MatrixFp([[pow(x, i, p) for x in points] for i in range(k)], p)
+            assert reed_solomon_generator(p, k) == want
+        for bad in (0, p):
+            with pytest.raises(ValueError):
+                reed_solomon_generator(p, bad)

@@ -564,6 +564,26 @@ def test_orders_and_leading_coefficients_match_reference(curve):
                 assert got == _outcome(reference_twisted_evaluate, curve, f, P, k), (f, P, k)
 
 
+@pytest.mark.parametrize("curve", [L7, E7, Curve.elliptic(13, 1, 0)], ids=lambda C: f"{C.kind}-{C.p}")
+def test_twisted_evaluate_errors_match_reference(curve):
+    # Points where neither a + b y nor c vanishes take the order-0 shortcut;
+    # its refusals must read exactly as the series path's do.
+    rng = random.Random(3000 + curve.p)
+    for f in random_functions(rng, curve, 20)[1:]:
+        for P in oracle_points(rng, curve):
+            for k in (-2, -1):
+                try:
+                    reference_twisted_evaluate(curve, f, P, k)
+                    want = None
+                except ValueError as e:
+                    want = str(e)
+                if want is None or not curve.contains(P):
+                    continue
+                with pytest.raises(ValueError) as err:
+                    twisted_evaluate(curve, f, P, k)
+                assert str(err.value) == want
+
+
 @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")
 def test_riemann_roch_raw_basis_matches_reference(curve):
     rng = random.Random(2000 * curve.p + 10 * curve.A + curve.B)

@@ -25,6 +25,7 @@ from tcodes import (
     project,
     self_intersection,
     sharp,
+    sup_convolution,
     validate,
     volume,
     weil_divisor,
@@ -225,6 +226,29 @@ def test_scale_and_add():
     assert volume(summed) == volume(double)
     with pytest.raises(ValueError):
         SURFACE.add(threefold_example())
+
+
+def test_zero_slice_is_built_once_and_left_alone():
+    dp = SURFACE
+    unmarked = [P for P in E7.rational_points() if P not in dp.slices]
+    zero = dp.slice_at(unmarked[0])
+    assert all(dp.slice_at(P) is zero for P in unmarked)
+    fresh = ConcavePL.constant_on(dp.box, 0)
+    assert (zero.vertices, zero.had_collinear) == (fresh.vertices, fresh.had_collinear)
+    # A sum whose other summand has a slice where this one has none reads
+    # the shared zero slice; the sum matches fresh zero slices, and the
+    # shared one is unchanged afterwards.
+    Q1, Q2 = marked_point_pair(E7)
+    other = DivisorialPolytope(E7, dp.box, {unmarked[0]: ConcavePL.from_graph_points([(0, 1), (4, 3)])})
+    for a, b in ((dp, dp), (dp, other), (other, dp)):
+        support = set(a.slices) | set(b.slices)
+        want = {
+            P: sup_convolution(a.slices.get(P, fresh), b.slices.get(P, fresh)) for P in support
+        }
+        assert a.add(b) == DivisorialPolytope(E7, a.box.minkowski(b.box), want)
+    assert (zero.vertices, zero.had_collinear) == (fresh.vertices, fresh.had_collinear)
+    assert dp.slice_at(unmarked[-1]) is zero
+    assert other.slice_at(Q1) is other.slice_at(Q2) is not zero
 
 
 def test_dp_constructor_validation():
