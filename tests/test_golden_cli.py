@@ -1,8 +1,8 @@
 """Byte-for-byte CLI outputs: stdout, stderr and exit code of every subcommand.
 
 The files under tests/golden/ are the recorded outputs. To record them again
-after a deliberate output change, run `python tests/test_golden_cli.py` from
-the repository root and review the diff.
+after a deliberate output change, run `PYTHONPATH=src python tests/test_golden_cli.py`
+from the repository root and review the diff.
 """
 
 import contextlib

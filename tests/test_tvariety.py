@@ -238,7 +238,6 @@ def test_zero_slice_is_built_once_and_left_alone():
     # A sum whose other summand has a slice where this one has none reads
     # the shared zero slice; the sum matches fresh zero slices, and the
     # shared one is unchanged afterwards.
-    Q1, Q2 = marked_point_pair(E7)
     other = DivisorialPolytope(E7, dp.box, {unmarked[0]: ConcavePL.from_graph_points([(0, 1), (4, 3)])})
     for a, b in ((dp, dp), (dp, other), (other, dp)):
         support = set(a.slices) | set(b.slices)
