@@ -45,7 +45,7 @@ banner("Surface instance on y^2 = x^3 + 3 over F_7")
 curve = standard_elliptic()
 dp = surface_example(curve)
 report = validate(dp)
-print("validation:", "ok" if report.ok else report.problems)
+print("validation:", "ok" if report.ok else report.failures())
 print("volume:", volume(dp))
 print("self-intersection:", self_intersection(dp))
 print("genus of a general section:", genus_of_section(dp))

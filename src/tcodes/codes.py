@@ -33,7 +33,6 @@ from .tvariety import (
     DivisorialPolytope,
     genus_of_section,
     graded_sections,
-    nu,
     project,
 )
 
@@ -232,13 +231,16 @@ def d_lower_surface(dp: DivisorialPolytope, l: int, q: int) -> DistanceBound:
     """Minimize (l - lambda) * (q - 1 - nu(lambda)) over feasible lambda (m = 1)."""
     if dp.m != 1:
         raise ValueError("the direct bound applies to interval boxes")
-    lam0 = max(dp.floor_deg_at(u) for u in dp.lattice_points())
+    degs = [(dp.floor_deg_at(u), u[0]) for u in dp.lattice_points()]
+    lam0 = max(d for d, _ in degs)
     if lam0 < 0:
         raise ValueError("no sections: every floored degree is negative")
     best = None
     arg = 0
     for lam in range(lam0 + 1):
-        val = max(0, l - lam) * max(0, q - 1 - nu(dp, lam))
+        # nu(lam): the width of the weights whose floored degree is >= lam.
+        alive = [x for d, x in degs if d >= lam]
+        val = max(0, l - lam) * max(0, q - 1 - (max(alive) - min(alive)))
         if best is None or val < best:
             best, arg = val, lam
     return DistanceBound(best, f"lambda={arg} of lambda0={lam0}")
@@ -370,13 +372,12 @@ def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: F
             poly = poly * Poly([-pow(g, j, p), 1], p)
         shifts = [(e + (d,), c * a % p) for e, c in shifts for d, a in enumerate(poly.coeffs)]
     terms = [(tuple(b + d for b, d in zip(base, e)), c) for e, c in shifts if c]
-    V = np.array(
-        [
-            [c * twisted_evaluate(curve, f, P, setup.twist_exponent(i, u)) % p for u, c in terms]
-            for i, P in enumerate(setup.points)
-        ],
-        dtype=np.int64,
-    ).reshape(setup.l, len(terms))
+    V = np.zeros((setup.l, len(terms)), dtype=np.int64)
+    for i, P in enumerate(setup.points):
+        # One f * t^k at P per distinct twist k (all terms share it at a flat slice).
+        ks = [setup.twist_exponent(i, u) for u, _ in terms]
+        values = {k: twisted_evaluate(curve, f, P, k) for k in dict.fromkeys(ks)}
+        V[i] = [c * values[k] % p for (_, c), k in zip(terms, ks)]
     table = _characters(p, setup.m, [u for u, _ in terms])
     cols = np.zeros((setup.l, table.shape[1]), dtype=np.int64)
     for j in range(len(terms)):

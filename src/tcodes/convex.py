@@ -9,7 +9,9 @@ of concave piecewise-linear functions over their domains.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import rational_ceil, rational_floor
@@ -254,13 +256,21 @@ class ConcavePL:
     Built as the upper concave envelope of finite graph data. `had_collinear`
     records whether some input point lay on the envelope without being one of
     its vertices, which is exactly a failure of strict concavity.
+
+    Immutable: the domain (its vertices) and the full-dimensional linearity
+    cells (`Facet` triples) are fixed at construction and every query reads
+    them. In either dimension a full-dimensional domain carries its cells, and
+    the function is the minimum of their affine pieces; a point domain or a
+    segment in the plane has no cells.
     """
 
-    def __init__(self, m: int, vertices: Sequence[tuple[Point, Fraction]], had_collinear: bool, facets: tuple[Facet, ...] | None = None):
+    def __init__(self, m: int, vertices: Sequence[tuple[Point, Fraction]], had_collinear: bool, facets: tuple[Facet, ...] = ()):
         self.m = m
         self.vertices = tuple(sorted(((tuple(p), Fraction(z)) for p, z in vertices)))
         self.had_collinear = had_collinear
         self._facets = facets
+        positions = [p for p, _ in self.vertices]
+        self._domain = tuple(convex_hull_2d(positions) if m == 2 else sorted({positions[0], positions[-1]}))
 
     @classmethod
     def from_graph_points(
@@ -306,7 +316,11 @@ class ConcavePL:
                 else:
                     break
             chain.append((p, z))
-        return cls(1, chain, collinear)
+        cells = []
+        for (qa, za), (qb, zb) in zip(chain, chain[1:]):
+            g = (zb - za) / (qb[0] - qa[0])
+            cells.append(((g,), za - g * qa[0], (qa, qb)))
+        return cls(1, chain, collinear, tuple(cells))
 
     @classmethod
     def _envelope_2d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
@@ -363,47 +377,31 @@ class ConcavePL:
     # -- domain ----------------------------------------------------------
 
     def domain_vertices(self) -> list[Point]:
-        positions = [p for p, _ in self.vertices]
-        if self.m == 1:
-            return [min(positions), max(positions)] if len(positions) > 1 else positions
-        return convex_hull_2d(positions)
+        return list(self._domain)
 
     def domain_dim(self) -> int:
-        dv = self.domain_vertices()
-        if len(dv) == 1:
-            return 0
-        if self.m == 1 or len(dv) == 2:
-            return 1
-        return 2
+        return min(len(self._domain) - 1, self.m)
 
     def domain_contains(self, u: Sequence[Fraction | int] | int) -> bool:
         p = make_point(u)
+        if len(p) != self.m:
+            raise ValueError(f"{u} is not a point of dimension {self.m}")
         if self.m == 1:
-            dv = self.domain_vertices()
-            return dv[0][0] <= p[0] <= dv[-1][0]
-        return hull_contains(self.domain_vertices(), p)
+            return self._domain[0] <= p <= self._domain[-1]
+        return hull_contains(self._domain, p)
 
     def domain_polytope(self) -> LatticePolytope:
-        dv = self.domain_vertices()
+        dv = self._domain
         if any(c.denominator != 1 for p in dv for c in p):
             raise ValueError("domain is not a lattice polytope")
         return LatticePolytope([tuple(int(c) for c in p) for p in dv])
 
     def domain_lattice_points(self) -> list[tuple[int, ...]]:
-        if self.m == 1:
-            dv = self.domain_vertices()
-            lo = rational_ceil(dv[0][0])
-            hi = rational_floor(dv[-1][0])
-            return [(u,) for u in range(lo, hi + 1)]
-        hull = self.domain_vertices()
-        xs = [p[0] for p in hull]
-        ys = [p[1] for p in hull]
-        out = []
-        for x in range(rational_ceil(min(xs)), rational_floor(max(xs)) + 1):
-            for y in range(rational_ceil(min(ys)), rational_floor(max(ys)) + 1):
-                if hull_contains(hull, make_point((x, y))):
-                    out.append((x, y))
-        return out
+        """The integer points of the domain, in lexicographic order."""
+        lows = [rational_ceil(min(p[i] for p in self._domain)) for i in range(self.m)]
+        highs = [rational_floor(max(p[i] for p in self._domain)) for i in range(self.m)]
+        box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+        return [u for u in box if self.domain_contains(u)]
 
     # -- evaluation ------------------------------------------------------
 
@@ -411,25 +409,16 @@ class ConcavePL:
         p = make_point(u)
         if not self.domain_contains(p):
             return None
-        if self.m == 1:
-            verts = self.vertices
-            if len(verts) == 1:
-                return verts[0][1]
-            for (qa, za), (qb, zb) in zip(verts, verts[1:]):
-                if qa[0] <= p[0] <= qb[0]:
-                    return za + (zb - za) * (p[0] - qa[0]) / (qb[0] - qa[0])
-            raise AssertionError("unreachable: point inside domain but no segment")
-        dim = self.domain_dim()
-        if dim == 0:
-            return self.vertices[0][1]
-        if dim == 1:
-            verts = self.vertices
-            for (qa, za), (qb, zb) in zip(verts, verts[1:]):
-                val = _interp_on_segment(qa, qb, za, zb, p)
-                if val is not None:
-                    return val
-            raise AssertionError("unreachable: point inside segment domain")
-        return min(g[0] * p[0] + g[1] * p[1] + c for g, c, _ in self.facets())
+        if self._facets:
+            return min(sum(map(mul, g, p), c) for g, c, _ in self._facets)
+        verts = self.vertices
+        if len(verts) == 1:
+            return verts[0][1]
+        for (qa, za), (qb, zb) in zip(verts, verts[1:]):
+            val = _interp_on_segment(qa, qb, za, zb, p)
+            if val is not None:
+                return val
+        raise AssertionError("unreachable: point inside segment domain")
 
     def evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction:
         val = self.try_evaluate(u)
@@ -441,25 +430,11 @@ class ConcavePL:
 
     def facets(self) -> tuple[Facet, ...]:
         """Full-dimensional linearity cells with their affine data."""
-        if self._facets is not None:
-            return self._facets
-        if self.m == 1:
-            out: list[Facet] = []
-            verts = self.vertices
-            for (qa, za), (qb, zb) in zip(verts, verts[1:]):
-                g = (zb - za) / (qb[0] - qa[0])
-                out.append(((g,), za - g * qa[0], (qa, qb)))
-            self._facets = tuple(out)
-        elif self.domain_dim() < 2:
-            self._facets = ()
-        else:
-            rebuilt = ConcavePL._envelope_2d(dict(self.vertices))
-            self._facets = rebuilt.facets()
         return self._facets
 
     def cells(self) -> list[tuple[Point, Fraction]]:
         """(gradient, constant) per linearity cell."""
-        return [(g, c) for g, c, _ in self.facets()]
+        return [(g, c) for g, c, _ in self._facets]
 
     def is_integral(self) -> bool:
         return all(
@@ -469,58 +444,51 @@ class ConcavePL:
 
     def affine_data(self) -> tuple[Point, Fraction] | None:
         """(gradient, constant) when the function is affine on its whole domain."""
-        dim = self.domain_dim()
-        if dim == 0:
+        if len(self._facets) == 1:
+            g, c, _ = self._facets[0]
+            return g, c
+        if len(self.vertices) == 1:
             return (Fraction(0),) * self.m, self.vertices[0][1]
-        if self.m == 1:
-            if len(self.vertices) != 2:
-                return None
-            (g,), c, _ = self.facets()[0]
-            return (g,), c
-        if dim == 1:
-            if len(self.vertices) != 2:
-                return None
-            (q0, z0), (q1, z1) = self.vertices
-            d = (q1[0] - q0[0], q1[1] - q0[1])
-            dd = d[0] * d[0] + d[1] * d[1]
-            s = (z1 - z0) / dd
-            g = (s * d[0], s * d[1])
-            return g, z0 - g[0] * q0[0] - g[1] * q0[1]
-        fs = self.facets()
-        if len(fs) != 1:
+        if len(self.vertices) != 2:
             return None
-        g, c, _ = fs[0]
-        return g, c
+        # Two vertices and no cell: a segment in the plane.
+        (q0, z0), (q1, z1) = self.vertices
+        d = (q1[0] - q0[0], q1[1] - q0[1])
+        s = (z1 - z0) / (d[0] * d[0] + d[1] * d[1])
+        g = (s * d[0], s * d[1])
+        return g, z0 - g[0] * q0[0] - g[1] * q0[1]
 
     def integral(self) -> Fraction:
-        """Exact integral over the domain (zero for degenerate domains)."""
-        if self.m == 1:
-            total = Fraction(0)
-            for (qa, za), (qb, zb) in zip(self.vertices, self.vertices[1:]):
-                total += (qb[0] - qa[0]) * (za + zb) / 2
-            return total
-        if self.domain_dim() < 2:
-            return Fraction(0)
+        """Exact integral over the domain (zero for degenerate domains).
+
+        Each cell is fanned into simplices from its first corner; an affine
+        function integrates over a simplex to its volume, det / m! (which is
+        det / m for m <= 2), times its mean vertex value.
+        """
+        m = self.m
         total = Fraction(0)
-        for g, c, cell in self.facets():
-            base = cell[0]
-            for a, b in zip(cell[1:], cell[2:]):
-                area2 = _cross(base, a, b)
-                mean = (
-                    g[0] * (base[0] + a[0] + b[0]) + g[1] * (base[1] + a[1] + b[1])
-                ) / 3 + c
-                total += area2 * mean / 2
+        for g, c, cell in self._facets:
+            for i in range(1, len(cell) - m + 1):
+                simplex = (cell[0],) + cell[i : i + m]
+                det = _cross(*simplex) if m == 2 else simplex[1][0] - simplex[0][0]
+                mean = sum(dot(g, q) for q in simplex) / (m + 1) + c
+                total += det * mean / m
         return total
 
     def shift(self, c: Fraction | int) -> "ConcavePL":
-        out = ConcavePL(self.m, [(p, z + c) for p, z in self.vertices], self.had_collinear)
-        return out
+        verts = [(p, z + c) for p, z in self.vertices]
+        facets = tuple((g, c0 + c, cell) for g, c0, cell in self._facets)
+        return ConcavePL(self.m, verts, self.had_collinear, facets)
 
     def scale(self, k: int) -> "ConcavePL":
+        """u -> k f(u / k): the same gradients on cells scaled by k."""
         if k <= 0:
             raise ValueError("scaling factor must be positive")
         verts = [(tuple(k * c for c in p), k * z) for p, z in self.vertices]
-        return ConcavePL(self.m, verts, self.had_collinear)
+        facets = tuple(
+            (g, k * c, tuple(tuple(k * x for x in q) for q in cell)) for g, c, cell in self._facets
+        )
+        return ConcavePL(self.m, verts, self.had_collinear, facets)
 
     def min_vertex_value(self) -> Fraction:
         return min(z for _, z in self.vertices)

@@ -47,7 +47,7 @@ from tcodes.instances import (
     toric_comparison_example,
     toric_comparison_setup,
 )
-from tcodes.tvariety import graded_sections
+from tcodes.tvariety import graded_sections, nu, project
 
 from test_properties import small_code_instance
 
@@ -442,6 +442,28 @@ def assert_code_matches_reference(setup, monkeypatch):
     return code, fast, checked
 
 
+def reference_d_lower_surface(dp, l, q):
+    """The former loop: nu(dp, lam), which re-evaluates every slice at every
+    weight, called once for each lam."""
+    lam0 = max(dp.floor_deg_at(u) for u in dp.lattice_points())
+    if lam0 < 0:
+        raise ValueError("no sections: every floored degree is negative")
+    best = None
+    arg = 0
+    for lam in range(lam0 + 1):
+        val = max(0, l - lam) * max(0, q - 1 - nu(dp, lam))
+        if best is None or val < best:
+            best, arg = val, lam
+    return codes.DistanceBound(best, f"lambda={arg} of lambda0={lam0}")
+
+
+def assert_d_lower_matches_reference(setup):
+    dp = setup.dp if setup.m == 1 else project(setup.dp)
+    for l in sorted({1, setup.l, setup.l + 5}):
+        got = _outcome(d_lower_surface, dp, l, setup.q)
+        assert got == _outcome(reference_d_lower_surface, dp, l, setup.q), (dp, l)
+
+
 def builtin_setups():
     return {
         "surface": surface_code_setup(),
@@ -468,6 +490,22 @@ def test_small_codes_match_reference(monkeypatch):
         if setup is None:
             continue
         assert_code_matches_reference(setup, monkeypatch)
+        seen += 1
+
+
+@pytest.mark.parametrize("name", sorted(builtin_setups()))
+def test_builtin_d_lower_matches_reference(name):
+    assert_d_lower_matches_reference(builtin_setups()[name])
+
+
+def test_small_d_lower_matches_reference():
+    rng = random.Random(602)
+    seen = 0
+    while seen < 30:
+        setup = small_code_instance(rng)
+        if setup is None:
+            continue
+        assert_d_lower_matches_reference(setup)
         seen += 1
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tcodes import ConcavePL, LatticePolytope, SupportFunctionSlice, sup_convolution, toric_polytope
+from tcodes.algebra import rational_ceil, rational_floor
 from tcodes.convex import (
     _cross,
     _interp_on_segment,
@@ -300,3 +301,199 @@ def test_integral_slice_identity():
         rhs = floor_sum_over_lattice(f) + signed_ceiling_interior_sum(f)
         assert lhs == rhs, (pts, lhs, rhs)
     assert checked >= 100
+
+
+def test_points_of_the_wrong_dimension_are_refused():
+    line = ConcavePL.from_graph_points([(0, 0), (2, 1)])
+    plane = ConcavePL.from_graph_points([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
+    for f, u in [(line, (1, 5)), (line, (1, 2, 3)), (plane, (0, 0, 7)), (plane, 0), (plane, (0,))]:
+        for query in (f.domain_contains, f.try_evaluate, f.evaluate):
+            with pytest.raises(ValueError):
+                query(u)
+
+
+# Oracles: the former per-query code, which read only the vertices, rebuilt
+# the domain hull on every call, kept separate m = 1 arms and rebuilt the 2D
+# cells of a shifted or scaled function from a fresh envelope.
+
+
+def reference_domain(f):
+    positions = [p for p, _ in f.vertices]
+    if f.m == 1:
+        return [min(positions), max(positions)] if len(positions) > 1 else positions
+    return convex_hull_2d(positions)
+
+
+def reference_domain_dim(f, dv):
+    if len(dv) == 1:
+        return 0
+    if f.m == 1 or len(dv) == 2:
+        return 1
+    return 2
+
+
+def reference_facets(f):
+    """The former lazy `facets()`: segments for m = 1, and for a 2D function
+    a fresh envelope of its vertices (which is what a shifted or scaled
+    function used to rebuild)."""
+    if f.m == 1:
+        out = []
+        for (qa, za), (qb, zb) in zip(f.vertices, f.vertices[1:]):
+            g = (zb - za) / (qb[0] - qa[0])
+            out.append(((g,), za - g * qa[0], (qa, qb)))
+        return tuple(out)
+    if len(reference_domain(f)) < 3:
+        return ()
+    return ConcavePL.from_graph_points(f.vertices).facets()
+
+
+def reference_contains(f, dv, p):
+    if f.m == 1:
+        return dv[0][0] <= p[0] <= dv[-1][0]
+    return hull_contains(dv, p)
+
+
+def reference_try_evaluate(f, dv, facets, u):
+    p = make_point(u)
+    if not reference_contains(f, dv, p):
+        return None
+    verts = f.vertices
+    if f.m == 1:
+        if len(verts) == 1:
+            return verts[0][1]
+        for (qa, za), (qb, zb) in zip(verts, verts[1:]):
+            if qa[0] <= p[0] <= qb[0]:
+                return za + (zb - za) * (p[0] - qa[0]) / (qb[0] - qa[0])
+        raise AssertionError("unreachable: point inside domain but no segment")
+    if len(dv) == 1:
+        return verts[0][1]
+    if len(dv) == 2:
+        for (qa, za), (qb, zb) in zip(verts, verts[1:]):
+            val = _interp_on_segment(qa, qb, za, zb, p)
+            if val is not None:
+                return val
+        raise AssertionError("unreachable: point inside segment domain")
+    return min(g[0] * p[0] + g[1] * p[1] + c for g, c, _ in facets)
+
+
+def reference_affine_data(f, dv, facets):
+    dim = reference_domain_dim(f, dv)
+    if dim == 0:
+        return (Fraction(0),) * f.m, f.vertices[0][1]
+    if f.m == 1:
+        if len(f.vertices) != 2:
+            return None
+        (g,), c, _ = facets[0]
+        return (g,), c
+    if dim == 1:
+        if len(f.vertices) != 2:
+            return None
+        (q0, z0), (q1, z1) = f.vertices
+        d = (q1[0] - q0[0], q1[1] - q0[1])
+        dd = d[0] * d[0] + d[1] * d[1]
+        s = (z1 - z0) / dd
+        g = (s * d[0], s * d[1])
+        return g, z0 - g[0] * q0[0] - g[1] * q0[1]
+    if len(facets) != 1:
+        return None
+    g, c, _ = facets[0]
+    return g, c
+
+
+def reference_integral(f, dv, facets):
+    if f.m == 1:
+        total = Fraction(0)
+        for (qa, za), (qb, zb) in zip(f.vertices, f.vertices[1:]):
+            total += (qb[0] - qa[0]) * (za + zb) / 2
+        return total
+    if len(dv) < 3:
+        return Fraction(0)
+    total = Fraction(0)
+    for g, c, cell in facets:
+        base = cell[0]
+        for a, b in zip(cell[1:], cell[2:]):
+            area2 = _cross(base, a, b)
+            mean = (g[0] * (base[0] + a[0] + b[0]) + g[1] * (base[1] + a[1] + b[1])) / 3 + c
+            total += area2 * mean / 2
+    return total
+
+
+def random_pl_graphs(rng):
+    """Seeded graph-point sets in both dimensions, degenerate ones included."""
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    full_2d = random_graph_sets(rng)
+    while True:
+        # Intervals, with values on one line now and then (collinear input).
+        xs = rng.sample(range(-4, 5), rng.randint(2, 6))
+        a, b = value(), value()
+        yield [(x, a * x + b if rng.random() < 0.3 else value()) for x in xs]
+        # A point domain in either dimension, given more than once.
+        x = rng.randint(-3, 3)
+        yield [(x, value()) for _ in range(rng.randint(1, 3))]
+        pos = (rng.randint(-3, 3), rng.randint(-3, 3))
+        yield [(pos, value()) for _ in range(rng.randint(1, 3))]
+        # A segment in the plane: lattice points along a primitive direction.
+        d = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (2, 1)])
+        ts = rng.sample(range(-2, 3), rng.randint(2, 5))
+        yield [((pos[0] + t * d[0], pos[1] + t * d[1]), a * t + b if rng.random() < 0.3 else value()) for t in ts]
+        yield next(full_2d)
+
+
+def reference_lattice_points(f, dv):
+    if f.m == 1:
+        return [(u,) for u in range(rational_ceil(dv[0][0]), rational_floor(dv[-1][0]) + 1)]
+    xs = [p[0] for p in dv]
+    ys = [p[1] for p in dv]
+    return [
+        (x, y)
+        for x in range(rational_ceil(min(xs)), rational_floor(max(xs)) + 1)
+        for y in range(rational_ceil(min(ys)), rational_floor(max(ys)) + 1)
+        if hull_contains(dv, make_point((x, y)))
+    ]
+
+
+def rational_probes(rng, f, dv):
+    """Rational points in the domain's bounding box widened by one, and on
+    lines through two vertices (which reach into a segment domain)."""
+    lo = [min(p[i] for p in dv) for i in range(f.m)]
+    hi = [max(p[i] for p in dv) for i in range(f.m)]
+    pts = []
+    for _ in range(6):
+        den = rng.randint(1, 4)
+        pts.append(tuple(Fraction(rng.randint(rational_floor(den * (a - 1)), rational_ceil(den * (b + 1))), den) for a, b in zip(lo, hi)))
+        (q, _), (r, _) = rng.choice(f.vertices), rng.choice(f.vertices)
+        t = Fraction(rng.randint(-4, 12), 8)
+        pts.append(tuple(qc + t * (rc - qc) for qc, rc in zip(q, r)))
+    return pts
+
+
+def test_concave_pl_matches_reference_queries():
+    rng = random.Random(707)
+    graphs = random_pl_graphs(rng)
+    kinds = {}
+    inside = outside = 0
+    for _ in range(500):
+        base = ConcavePL.from_graph_points(next(graphs))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for f in (base, base.shift(c), base.scale(2), base.scale(2).shift(c)):
+            # For f = base.scale(2) this asserts f.facets() ==
+            # ConcavePL.from_graph_points(f.vertices).facets().
+            dv, facets = reference_domain(f), reference_facets(f)
+            assert f.facets() == facets, f
+            assert (f.domain_vertices(), f.domain_dim()) == (dv, reference_domain_dim(f, dv))
+            assert f.affine_data() == reference_affine_data(f, dv, facets), f
+            assert f.integral() == reference_integral(f, dv, facets), f
+            lattice = reference_lattice_points(f, dv)
+            assert f.domain_lattice_points() == lattice
+            for p in lattice + rational_probes(rng, f, dv):
+                want = reference_try_evaluate(f, dv, facets, p)
+                assert f.try_evaluate(p) == want, (f, p)
+                inside += want is not None
+                outside += want is None
+        key = (base.m, base.domain_dim(), base.had_collinear)
+        kinds[key] = kinds.get(key, 0) + 1
+    # Every shape of domain, with and without collinear input where it can occur.
+    assert set(kinds) >= {(1, 0, False), (1, 1, False), (1, 1, True), (2, 0, False), (2, 1, False), (2, 1, True), (2, 2, False), (2, 2, True)}
+    assert inside > 10_000 and outside > 5_000
