@@ -14,7 +14,8 @@ character table (`_characters`), and the rank splits by u mod q - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from itertools import product
+from math import isqrt, prod
 
 import numpy as np
 
@@ -209,15 +210,19 @@ def k_bounds(dp: DivisorialPolytope) -> KBounds:
     """
     g = dp.curve.genus
     pts = dp.lattice_points()
-    sharp_total = sum(dp.floor_deg_at(u) for u in pts)
-    gamma = 0
+    sharp_total = gamma = 0
+    equality = True
     for u in pts:
-        x = dp.floor_deg_at(u) + 1 - g
+        # Floor degree, effectivity and rational degree from one evaluation.
+        values = dp.value_at(u).coeffs.values()
+        floor_deg = sum(rational_floor(v) for v in values)
+        sharp_total += floor_deg
+        x = floor_deg + 1 - g
         if x > 0:
             gamma += x
-        elif dp.value_at(u).is_effective():
+        elif all(v >= 0 for v in values):
             gamma += 1
-    equality = all(dp.deg_at(u) > 2 * g - 2 for u in pts)
+        equality = equality and sum(values) > 2 * g - 2
     return KBounds(sharp_total + len(pts) * (1 - g), gamma, sharp_total + len(pts), equality)
 
 
@@ -263,25 +268,15 @@ def d_lower(setup: EvaluationSetup) -> DistanceBound:
 
 
 def _sub_boxes(dp: DivisorialPolytope, q: int) -> list[tuple[tuple[int, int], ...]]:
-    """Axis-aligned lattice sub-boxes of the weight box with sides <= q - 2."""
-    out = []
-    if dp.m == 1:
-        lo, hi = dp.box.bounds()
-        for s in range(lo, hi + 1):
-            for t in range(s, min(hi, s + q - 2) + 1):
-                out.append(((s, t),))
-        return out
-    xlo, xhi = dp.box.bounds(0)
-    ylo, yhi = dp.box.bounds(1)
-    pts = set(dp.lattice_points())
-    for s1 in range(xlo, xhi + 1):
-        for t1 in range(s1, min(xhi, s1 + q - 2) + 1):
-            for s2 in range(ylo, yhi + 1):
-                for t2 in range(s2, min(yhi, s2 + q - 2) + 1):
-                    cells = [(x, y) for x in range(s1, t1 + 1) for y in range(s2, t2 + 1)]
-                    if all(c in pts for c in cells):
-                        out.append(((s1, t1), (s2, t2)))
-    return out
+    """Axis-aligned lattice sub-boxes of the weight box with sides <= q - 2,
+    in lexicographic order. The weight box is convex, so a sub-box lies in it
+    exactly when its corners do."""
+    weights = set(dp.lattice_points())
+    axes = []
+    for axis in range(dp.m):
+        lo, hi = dp.box.bounds(axis)
+        axes.append([(s, t) for s in range(lo, hi + 1) for t in range(s, min(hi, s + q - 2) + 1)])
+    return [B for B in product(*axes) if all(u in weights for u in product(*B))]
 
 
 @dataclass
@@ -313,36 +308,31 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     when a certificate evaluates to the zero word. If every certificate does
     (only possible when the code's section map has a kernel), the value falls
     back to the code length.
+
+    Each slice is floored once at every weight, and each box reads its c_j
+    at its corners, built directly; one Riemann-Roch basis serves every box
+    with the same (c, r0). With no stored slice every c is empty and the
+    certificate is a constant.
     """
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
-    if not stored:
-        raise ValueError("upper bound needs at least one stored slice")
+    floors = {u: [rational_floor(dp.slice_at(Q).evaluate(u)) for Q in stored] for u in dp.lattice_points()}
+    bases: dict[tuple[tuple[int, ...], int], list[FunctionFieldElement]] = {}
     candidates: list[tuple[int, tuple, int, FunctionFieldElement]] = []
     for B in _sub_boxes(dp, q):
-        sides = [t - s for s, t in B]
-        cells = [
-            u
-            for u in dp.lattice_points()
-            if all(s <= c <= t for c, (s, t) in zip(u, B))
-        ]
-        coeffs = {
-            Q: rational_floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in stored
-        }
-        r0 = max(0, min(sum(coeffs.values()) - g, l))
-        D = Divisor({Q: c for Q, c in coeffs.items()})
-        for P in setup.points[:r0]:
-            D = D + Divisor({P: -1})
-        bound = l - r0
-        for r in sides:
-            bound *= q - 1 - r
+        # Every slice is concave, so its minimum over B is at a corner.
+        c = tuple(min(column) for column in zip(*(floors[u] for u in product(*B))))
+        r0 = max(0, min(sum(c) - g, l))
+        bound = (l - r0) * prod(q - 1 - (t - s) for s, t in B)
         if bound <= 0:
             continue
-        basis = riemann_roch_basis(curve, D)
-        if not basis:
-            continue
-        candidates.append((bound, B, r0, basis[0]))
+        if (c, r0) not in bases:
+            D = Divisor(dict(zip(stored, c))) - Divisor({P: 1 for P in setup.points[:r0]})
+            bases[c, r0] = riemann_roch_basis(curve, D)
+        basis = bases[c, r0]
+        if basis:
+            candidates.append((bound, B, r0, basis[0]))
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
     formula_min = min(bound for bound, _, _, _ in candidates)

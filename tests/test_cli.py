@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +129,24 @@ def test_distance_sample(capsys):
     assert "d_lower = 22" in out
     assert "d_exact = 33" in out
     assert "d_upper = 33" in out
+
+
+@pytest.mark.parametrize(
+    "curve_line,n,d",
+    [("curve p1\npoint Z = (0,0)", 48, 32), ("curve elliptic A=0 B=3", 78, 52)],
+)
+def test_polytope_without_slices(tmp_path, capsys, curve_line, n, d):
+    # Every slice is zero, so the sections of weight u are the constants and
+    # the upper bound's certificate is a constant times unit-root factors.
+    f = tmp_path / "flat.tcode"
+    f.write_text(f"field p=7\n{curve_line}\nbox [0,2]\neval all-admissible\n")
+    code, out, err = run(capsys, ["info", str(f)])
+    assert code == EXIT_OK, err
+    assert f"n = {n}\nk = 3\n" in out
+    assert f"d_lower = {d}\nd_upper = {d}\n" in out
+    code, out, err = run(capsys, ["distance", str(f)])
+    assert code == EXIT_OK, err
+    assert out == f"d_lower = {d}\nd_exact = {d}\nd_upper = {d}\n"
 
 
 def test_distance_budget_refusal(tmp_path, capsys):

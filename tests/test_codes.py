@@ -1,5 +1,7 @@
 """Tests for evaluation codes: construction, parameters, and bounds."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -33,8 +35,8 @@ from tcodes import (
     toric_generator,
     weight_enumerator,
 )
-from tcodes.algebra import primitive_root
-from tcodes.curve import twisted_evaluate
+from tcodes.algebra import primitive_root, rational_floor
+from tcodes.curve import Divisor, riemann_roch_basis, twisted_evaluate
 from tcodes.instances import (
     marked_point_pair,
     p1_torus_points,
@@ -583,3 +585,162 @@ def test_reed_solomon_is_the_one_dimensional_toric_code():
         for bad in (0, p):
             with pytest.raises(ValueError):
                 reed_solomon_generator(p, bad)
+
+
+# Oracles for the sub-box search and k_bounds: the former code, which built
+# m = 1 and m = 2 boxes on two paths, found each box's cells by filtering the
+# weights, evaluated every slice at those cells per box, and computed one
+# Riemann-Roch basis per box; and k_bounds evaluating each slice four times
+# per weight.
+
+
+def reference_sub_boxes(dp, q):
+    out = []
+    if dp.m == 1:
+        lo, hi = dp.box.bounds()
+        for s in range(lo, hi + 1):
+            for t in range(s, min(hi, s + q - 2) + 1):
+                out.append(((s, t),))
+        return out
+    xlo, xhi = dp.box.bounds(0)
+    ylo, yhi = dp.box.bounds(1)
+    pts = set(dp.lattice_points())
+    for s1 in range(xlo, xhi + 1):
+        for t1 in range(s1, min(xhi, s1 + q - 2) + 1):
+            for s2 in range(ylo, yhi + 1):
+                for t2 in range(s2, min(yhi, s2 + q - 2) + 1):
+                    cells = [(x, y) for x in range(s1, t1 + 1) for y in range(s2, t2 + 1)]
+                    if all(c in pts for c in cells):
+                        out.append(((s1, t1), (s2, t2)))
+    return out
+
+
+def reference_d_upper(setup):
+    dp, curve = setup.dp, setup.curve
+    l, q, g = setup.l, setup.q, curve.genus
+    stored = dp.stored_points()
+    if not stored:
+        raise ValueError("upper bound needs at least one stored slice")
+    candidates = []
+    for B in reference_sub_boxes(dp, q):
+        sides = [t - s for s, t in B]
+        cells = [
+            u
+            for u in dp.lattice_points()
+            if all(s <= c <= t for c, (s, t) in zip(u, B))
+        ]
+        coeffs = {
+            Q: rational_floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in stored
+        }
+        r0 = max(0, min(sum(coeffs.values()) - g, l))
+        D = Divisor({Q: c for Q, c in coeffs.items()})
+        for P in setup.points[:r0]:
+            D = D + Divisor({P: -1})
+        bound = l - r0
+        for r in sides:
+            bound *= q - 1 - r
+        if bound <= 0:
+            continue
+        basis = riemann_roch_basis(curve, D)
+        if not basis:
+            continue
+        candidates.append((bound, B, r0, basis[0]))
+    if not candidates:
+        raise ValueError("no valid sub-box certificate exists")
+    formula_min = min(bound for bound, _, _, _ in candidates)
+    best = None
+    for bound, B, r0, f in sorted(candidates, key=lambda c: c[0]):
+        weight = codes._witness_weight(setup, B, f)
+        if weight is not None and (best is None or weight < best[0]):
+            best = (weight, B, r0, f)
+    if best is not None:
+        weight, B, r0, f = best
+        return codes.UpperBound(weight, formula_min, codes.UpperWitness(B, r0, f, weight))
+    _, B, r0, f = min(candidates, key=lambda c: c[0])
+    return codes.UpperBound(setup.n, formula_min, codes.UpperWitness(B, r0, f, None))
+
+
+def reference_k_bounds(dp):
+    g = dp.curve.genus
+    pts = dp.lattice_points()
+    sharp_total = sum(dp.floor_deg_at(u) for u in pts)
+    gamma = 0
+    for u in pts:
+        x = dp.floor_deg_at(u) + 1 - g
+        if x > 0:
+            gamma += x
+        elif dp.value_at(u).is_effective():
+            gamma += 1
+    equality = all(dp.deg_at(u) > 2 * g - 2 for u in pts)
+    return codes.KBounds(sharp_total + len(pts) * (1 - g), gamma, sharp_total + len(pts), equality)
+
+
+def assert_d_upper_matches_reference(setup):
+    assert codes._sub_boxes(setup.dp, setup.q) == reference_sub_boxes(setup.dp, setup.q)
+    assert _outcome(d_upper, setup) == _outcome(reference_d_upper, setup), setup.dp
+
+
+@pytest.mark.parametrize("name", sorted(builtin_setups()))
+def test_builtin_d_upper_matches_reference(name):
+    assert_d_upper_matches_reference(builtin_setups()[name])
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (5, 2), (7, 2), (5, 3)])
+def test_scaled_threefold_d_upper_matches_reference(p, k):
+    # Scaled hexagons are not rectangles, and at p = 5, k = 3 the box is
+    # wider than q - 2.
+    assert_d_upper_matches_reference(EvaluationSetup.build(threefold_example(p).scale(k)))
+
+
+def test_small_d_upper_matches_reference():
+    rng = random.Random(801)
+    seen = 0
+    while seen < 60:
+        setup = small_code_instance(rng)
+        if setup is None:
+            continue
+        assert_d_upper_matches_reference(setup)
+        seen += 1
+
+
+def test_d_upper_one_basis_per_divisor(monkeypatch):
+    # On the surface code, sub-boxes with equal floored slice minima and r0
+    # share their divisor, so there are fewer distinct divisors than boxes.
+    setup = surface_code_setup()
+    dp, l, q, g = setup.dp, setup.l, setup.q, setup.curve.genus
+    viable, divisors = 0, set()
+    for B in reference_sub_boxes(dp, q):
+        cells = list(itertools.product(*(range(s, t + 1) for s, t in B)))
+        c = tuple(rational_floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in dp.stored_points())
+        r0 = max(0, min(sum(c) - g, l))
+        if (l - r0) * math.prod(q - 1 - (t - s) for s, t in B) > 0:
+            viable += 1
+            divisors.add((c, r0))
+    assert len(divisors) < viable
+    calls = []
+
+    def counting(curve, D):
+        calls.append(D)
+        return riemann_roch_basis(curve, D)
+
+    monkeypatch.setattr(codes, "riemann_roch_basis", counting)
+    assert d_upper(setup) == reference_d_upper(setup)
+    assert len(calls) == len(divisors)
+    assert len(set(map(repr, calls))) == len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_setups()))
+def test_builtin_k_bounds_match_reference(name):
+    dp = builtin_setups()[name].dp
+    assert k_bounds(dp) == reference_k_bounds(dp)
+
+
+def test_small_k_bounds_match_reference():
+    rng = random.Random(802)
+    seen = 0
+    while seen < 30:
+        setup = small_code_instance(rng)
+        if setup is None:
+            continue
+        assert k_bounds(setup.dp) == reference_k_bounds(setup.dp)
+        seen += 1

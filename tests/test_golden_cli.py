@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI outputs: stdout, stderr and exit code of every subcommand.
+"""Byte-for-byte CLI outputs: stdout, stderr and exit code of every subcommand,
+and the stdout of `demos/library_tour.py`.
 
 The files under tests/golden/ are the recorded outputs. To record them again
 after a deliberate output change, run `PYTHONPATH=src python tests/test_golden_cli.py`
@@ -8,6 +9,9 @@ from the repository root and review the diff.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +52,17 @@ def _run(argv: list[str]) -> tuple[str, str, int]:
     return out.getvalue(), err.getvalue(), code
 
 
+def _run_tour() -> subprocess.CompletedProcess:
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "library_tour.py")],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 def _exit_codes() -> dict[str, int]:
     return json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
 
@@ -64,6 +79,12 @@ def test_cli_output_matches_golden(name):
     assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
 
 
+def test_library_tour_matches_golden():
+    proc = _run_tour()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "library-tour.stdout").read_text(encoding="utf-8")
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -72,6 +93,10 @@ def record() -> None:
         (GOLDEN / f"{name}.stdout").write_text(out, encoding="utf-8")
         (GOLDEN / f"{name}.stderr").write_text(err, encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    tour = _run_tour()
+    if tour.returncode != 0:
+        raise SystemExit(tour.stderr)
+    (GOLDEN / "library-tour.stdout").write_text(tour.stdout, encoding="utf-8")
 
 
 if __name__ == "__main__":
