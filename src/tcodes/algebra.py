@@ -5,15 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor, gcd
 
-Rational = Fraction
 
-
-def rational_floor(x: Rational | int) -> int:
+def rational_floor(x: Fraction | int) -> int:
     """Floor toward minus infinity, e.g. floor(-1/2) = -1."""
     return floor(x)
 
 
-def rational_ceil(x: Rational | int) -> int:
+def rational_ceil(x: Fraction | int) -> int:
     return -floor(-Fraction(x))
 
 

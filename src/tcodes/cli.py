@@ -203,10 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "example":
             setup = _example_setup(args.name, args.p, args.curve)
             dp = setup.dp
+        elif action == "validate":
+            setup, dp = None, _load_spec(args.file).to_polytope()
         else:
-            spec = _load_spec(args.file)
-            dp = spec.to_polytope()
-            setup = None if action == "validate" else spec.to_setup()
+            setup = _load_spec(args.file).to_setup()
+            dp = setup.dp
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -323,56 +323,55 @@ class ConcavePL:
         return cls(1, chain, collinear, tuple(cells))
 
     @classmethod
+    def _envelope_on_line(cls, reps: dict[Point, Fraction], q0: Point, q1: Point) -> "ConcavePL":
+        """The envelope of the points on the line through q0 and q1 (no cells)."""
+        d = (q1[0] - q0[0], q1[1] - q0[1])
+        dd = d[0] * d[0] + d[1] * d[1]
+        params = {(dot(d, (p[0] - q0[0], p[1] - q0[1])) / dd,): z for p, z in reps.items() if _cross(q0, q1, p) == 0}
+        inner = cls._envelope_1d(params)
+        verts = [((q0[0] + s * d[0], q0[1] + s * d[1]), z) for (s,), z in inner.vertices]
+        return cls(2, verts, inner.had_collinear)
+
+    @classmethod
     def _envelope_2d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
-        positions = list(reps)
-        hull = convex_hull_2d(positions)
+        """Gift wrapping over the upper facets of the lifted points.
+
+        The wrap starts at the first envelope edge along the first hull edge.
+        The cell left of an envelope edge a -> b has the lowest plane through
+        lifted a and b above every point strictly left of the edge; its edges,
+        reversed, lead on, and a reversed boundary edge has nothing on its
+        left. The vertices are the cell corners; any other tight point lies
+        on the envelope without being a vertex.
+        """
+        hull = convex_hull_2d(reps)
         if len(hull) == 1:
             return cls(2, [(hull[0], reps[hull[0]])], False)
         if len(hull) == 2:
-            q0, q1 = hull
-            d = (q1[0] - q0[0], q1[1] - q0[1])
-            dd = d[0] * d[0] + d[1] * d[1]
-            params = {}
-            for p, z in reps.items():
-                s = ((p[0] - q0[0]) * d[0] + (p[1] - q0[1]) * d[1]) / dd
-                sp = (Fraction(s),)
-                if sp not in params or params[sp] < z:
-                    params[sp] = z
-            inner = cls._envelope_1d(params)
-            verts = [((q0[0] + s[0] * d[0], q0[1] + s[0] * d[1]), z) for s, z in inner.vertices]
-            return cls(2, verts, inner.had_collinear)
-        items = list(reps.items())
-        n = len(items)
-        planes: set[tuple[Fraction, Fraction, Fraction]] = set()
-        for i in range(n):
-            pi, zi = items[i]
-            for j in range(i + 1, n):
-                pj, zj = items[j]
-                for k in range(j + 1, n):
-                    pk, zk = items[k]
-                    d = _cross(pi, pj, pk)
-                    if d == 0:
-                        continue
-                    g1 = ((zj - zi) * (pk[1] - pi[1]) - (zk - zi) * (pj[1] - pi[1])) / d
-                    g2 = ((zk - zi) * (pj[0] - pi[0]) - (zj - zi) * (pk[0] - pi[0])) / d
-                    c = zi - g1 * pi[0] - g2 * pi[1]
-                    if all(g1 * p[0] + g2 * p[1] + c >= z for p, z in items):
-                        planes.add((g1, g2, c))
-        # The envelope vertices are the corners of the facet cells (the hull
-        # drops points inside a cell edge); any other point tight on a facet
-        # lies on the envelope without being a vertex.
-        facets: list[Facet] = []
+            return cls._envelope_on_line(reps, *hull)
+        (a, _), (b, _) = cls._envelope_on_line(reps, hull[0], hull[1]).vertices[:2]
+        edges = [(a, b)]
+        facets: dict[tuple[Fraction, Fraction, Fraction], Facet] = {}
         on_env: set[Point] = set()
-        corners: set[Point] = set()
-        for g1, g2, c in sorted(planes):
-            tight = [p for p, z in items if g1 * p[0] + g2 * p[1] + c == z]
+        while edges:
+            a, b = edges.pop()
+            za, zb = reps[a], reps[b]
+            plane = None
+            for q, zq in reps.items():
+                d = _cross(a, b, q)
+                if d > 0 and (plane is None or plane[0] * q[0] + plane[1] * q[1] + plane[2] < zq):
+                    g1 = ((zb - za) * (q[1] - a[1]) - (zq - za) * (b[1] - a[1])) / d
+                    g2 = ((zq - za) * (b[0] - a[0]) - (zb - za) * (q[0] - a[0])) / d
+                    plane = (g1, g2, za - g1 * a[0] - g2 * a[1])
+            if plane is None or plane in facets:
+                continue
+            g1, g2, c = plane
+            tight = [p for p, z in reps.items() if g1 * p[0] + g2 * p[1] + c == z]
             cell = convex_hull_2d(tight)
-            if len(cell) >= 3:
-                facets.append(((g1, g2), c, tuple(cell)))
-                on_env.update(tight)
-                corners.update(cell)
-        assert facets, "full-dimensional hull must have at least one upper facet"
-        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(facets))
+            facets[plane] = ((g1, g2), c, tuple(cell))
+            on_env.update(tight)
+            edges.extend(zip(cell[1:] + cell[:1], cell))
+        corners = {p for _, _, cell in facets.values() for p in cell}
+        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(sorted(facets.values())))
 
     # -- domain ----------------------------------------------------------
 

@@ -66,9 +66,6 @@ class DivisorialPolytope:
     def value_at(self, u) -> Divisor:
         return Divisor({P: s.evaluate(u) for P, s in self.slices.items()})
 
-    def floor_divisor_at(self, u) -> Divisor:
-        return self.value_at(u).floor()
-
     def deg_at(self, u) -> Fraction:
         return sum((s.evaluate(u) for s in self.slices.values()), Fraction(0))
 
@@ -339,7 +336,7 @@ def graded_sections(dp: DivisorialPolytope) -> GradedSections:
     """Riemann-Roch bases of the floored slice divisors, one per weight."""
     pieces = []
     for u in dp.lattice_points():
-        D = dp.floor_divisor_at(u)
+        D = dp.value_at(u).floor()
         pieces.append(GradedPiece(u, D, riemann_roch_basis(dp.curve, D)))
     return GradedSections(pieces)
 

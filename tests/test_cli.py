@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from tcodes import ConcavePL
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +61,50 @@ def test_validate_failure_exit_code(tmp_path, capsys):
     assert code == EXIT_INVALID
     assert "valid = false" in out
     assert "fail" in out
+
+
+def test_info_builds_each_slice_once(monkeypatch, capsys):
+    # Each declared slice is enveloped by the parse check and by one build;
+    # the shared zero slice of the unmarked points adds one more call.
+    envelope_1d = ConcavePL._envelope_1d.__func__
+    calls = Counter()
+
+    def counting(cls, reps):
+        calls[tuple(sorted(reps.items()))] += 1
+        return envelope_1d(cls, reps)
+
+    monkeypatch.setattr(ConcavePL, "_envelope_1d", classmethod(counting))
+    code, _, _ = run(capsys, ["info", SAMPLE])
+    assert code == EXIT_OK
+    def graph(*pts):
+        return tuple(((x,), z) for x, z in pts)
+
+    assert calls == {
+        graph((0, 0), (4, 2)): 2,
+        graph((0, 0), (2, 2), (3, 1), (4, -1)): 2,
+        graph((0, 0), (4, 0)): 1,
+    }
+
+
+def test_validate_polygon_with_a_hundred_graph_points(tmp_path, capsys):
+    pts = " ".join(f"({x},{y},{min(x + y, 16 - x, 3 + y, 7)})" for x in range(10) for y in range(10))
+    path = tmp_path / "grid.tcode"
+    path.write_text(
+        f"field p=7\ncurve p1\npoint R = (0,0)\nbox poly (0,0) (9,0) (9,9) (0,9)\nhstar R : {pts}\n"
+    )
+    start = time.process_time()
+    code, out, err = run(capsys, ["validate", str(path)])
+    elapsed = time.process_time() - start
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == [
+        "degree-nonnegative-at-vertices = pass",
+        "principal-multiple-at-degree-zero-vertices = pass",
+        "lattice-graph-vertices = pass",
+        "valid = true",
+        "semiample = true",
+        "ample = false",
+    ]
+    assert elapsed < 5, f"validate took {elapsed:.1f}s of process time"
 
 
 def test_info_keys_and_determinism(capsys):

@@ -8,6 +8,8 @@ import pytest
 from tcodes import ConcavePL, LatticePolytope, SupportFunctionSlice, sup_convolution, toric_polytope
 from tcodes.algebra import rational_ceil, rational_floor
 from tcodes.convex import (
+    Facet,
+    Point,
     _cross,
     _interp_on_segment,
     clip_segment,
@@ -210,6 +212,123 @@ def test_envelope_2d_matches_reference_classifier():
         if checked == 120:
             break
     assert 20 <= collinear <= 100
+
+
+def reference_plane_search_envelope(reps: dict[Point, Fraction]) -> ConcavePL:
+    """The former 2D envelope, verbatim: every triple of points spans a
+    candidate plane, kept when no point lies above it (O(n^4))."""
+    cls = ConcavePL
+    positions = list(reps)
+    hull = convex_hull_2d(positions)
+    if len(hull) == 1:
+        return cls(2, [(hull[0], reps[hull[0]])], False)
+    if len(hull) == 2:
+        q0, q1 = hull
+        d = (q1[0] - q0[0], q1[1] - q0[1])
+        dd = d[0] * d[0] + d[1] * d[1]
+        params = {}
+        for p, z in reps.items():
+            s = ((p[0] - q0[0]) * d[0] + (p[1] - q0[1]) * d[1]) / dd
+            sp = (Fraction(s),)
+            if sp not in params or params[sp] < z:
+                params[sp] = z
+        inner = cls._envelope_1d(params)
+        verts = [((q0[0] + s[0] * d[0], q0[1] + s[0] * d[1]), z) for s, z in inner.vertices]
+        return cls(2, verts, inner.had_collinear)
+    items = list(reps.items())
+    n = len(items)
+    planes: set[tuple[Fraction, Fraction, Fraction]] = set()
+    for i in range(n):
+        pi, zi = items[i]
+        for j in range(i + 1, n):
+            pj, zj = items[j]
+            for k in range(j + 1, n):
+                pk, zk = items[k]
+                d = _cross(pi, pj, pk)
+                if d == 0:
+                    continue
+                g1 = ((zj - zi) * (pk[1] - pi[1]) - (zk - zi) * (pj[1] - pi[1])) / d
+                g2 = ((zk - zi) * (pj[0] - pi[0]) - (zj - zi) * (pk[0] - pi[0])) / d
+                c = zi - g1 * pi[0] - g2 * pi[1]
+                if all(g1 * p[0] + g2 * p[1] + c >= z for p, z in items):
+                    planes.add((g1, g2, c))
+    # The envelope vertices are the corners of the facet cells (the hull
+    # drops points inside a cell edge); any other point tight on a facet
+    # lies on the envelope without being a vertex.
+    facets: list[Facet] = []
+    on_env: set[Point] = set()
+    corners: set[Point] = set()
+    for g1, g2, c in sorted(planes):
+        tight = [p for p, z in items if g1 * p[0] + g2 * p[1] + c == z]
+        cell = convex_hull_2d(tight)
+        if len(cell) >= 3:
+            facets.append(((g1, g2), c, tuple(cell)))
+            on_env.update(tight)
+            corners.update(cell)
+    assert facets, "full-dimensional hull must have at least one upper facet"
+    return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(facets))
+
+
+def graph_reps(points):
+    reps = {}
+    for pos, val in points:
+        p, z = make_point(pos), Fraction(val)
+        if p not in reps or reps[p] < z:
+            reps[p] = z
+    return reps
+
+
+def wrap_oracle_sets(rng):
+    """The 120 sets of the classifier test, then larger and harder ones."""
+    old = random_graph_sets(random.Random(404))
+    full = (pts for pts in old if len(convex_hull_2d([make_point(p) for p, _ in pts])) >= 3)
+    for _ in range(120):
+        yield next(full)
+    for _ in range(60):
+        # Scattered positions with rational values, more than the old sets.
+        yield [
+            ((rng.randint(-4, 4), rng.randint(-4, 4)), Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+            for _ in range(rng.randint(13, 24))
+        ]
+    for _ in range(30):
+        # Mins of 1-4 affine pieces on grids up to 6x6.
+        w, h = rng.randint(2, 6), rng.randint(2, 6)
+        pieces = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+        yield [((x, y), min(a * x + b * y + c for a, b, c in pieces)) for x in range(w) for y in range(h)]
+    for _ in range(20):
+        # Roofs on [0, w] x [0, h]: the first hull edge, along y = 0, carries
+        # collinear points raised above its chord, and some inner points dip.
+        w, h = rng.randint(2, 5), rng.randint(1, 3)
+        s1, s2, t = rng.randint(1, 3), rng.randint(1, 3), rng.randint(-2, 2)
+        yield [
+            ((x, y), min(s1 * x, s2 * (w - x)) + t * y - (rng.randint(0, 1) if 0 < y < h else 0))
+            for x in range(w + 1)
+            for y in range(h + 1)
+        ]
+    for _ in range(20):
+        # Segment domains: positions on one line, in any order.
+        d = (rng.randint(-2, 2), rng.randint(1, 2))
+        ks = rng.sample(range(-3, 5), rng.randint(2, 6))
+        yield [((1 + k * d[0], k * d[1]), Fraction(rng.randint(-6, 6), rng.randint(1, 2))) for k in ks]
+
+
+def test_envelope_2d_matches_plane_search():
+    rng = random.Random(909)
+    segments = raised = 0
+    for pts in wrap_oracle_sets(rng):
+        reps = graph_reps(pts)
+        f = ConcavePL.from_graph_points(pts)
+        want = reference_plane_search_envelope(reps)
+        assert (f.vertices, f.had_collinear, f.facets()) == (want.vertices, want.had_collinear, want.facets()), pts
+        hull = convex_hull_2d(reps)
+        if len(hull) == 2:
+            segments += 1
+        else:
+            # An envelope vertex inside the first hull edge: the wrap cannot
+            # start from that edge's chord.
+            raised += sum(_cross(hull[0], hull[1], p) == 0 for p, _ in f.vertices) > 2
+    assert segments == 20
+    assert raised >= 20
 
 
 def test_affine_data():
