@@ -547,20 +547,94 @@ class SupportFunctionSlice:
         return f"SupportFunctionSlice[{pieces}]"
 
 
+def _top_face(f: ConcavePL, grad: Point) -> tuple[Fraction, list[tuple[Point, Fraction]]]:
+    """The maximum of z - <grad, p> over the vertices of f (m = 2), and the vertices attaining it."""
+    g0, g1 = grad
+    vals = [(z - g0 * p[0] - g1 * p[1], p, z) for p, z in f.vertices]
+    top = max(v for v, _, _ in vals)
+    return top, [(p, z) for v, p, z in vals if v == top]
+
+
+def _dual_edges(f: ConcavePL) -> list[tuple[Point, Point, bool]]:
+    """The dual edge of each edge of f's cells: the gradients γ whose top
+    face (see `_top_face`) holds the edge, as base + t * direction. An inner
+    edge gives the segment between its two cells' gradients, t in [0, 1]; a
+    boundary edge the ray from its cell's gradient against the outer normal,
+    t >= 0."""
+    sides: dict[frozenset[Point], list[tuple[Point, Point, Point]]] = {}
+    for grad, _, cell in f.facets():
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            sides.setdefault(frozenset((a, b)), []).append((grad, a, b))
+    out = []
+    for (grad, a, b), *other in sides.values():
+        if other:
+            out.append((grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]), True))
+        else:
+            # The cell is counterclockwise, so its outer normal at a -> b is
+            # (b1 - a1, a0 - b0), and the ray runs against it.
+            out.append((grad, (a[1] - b[1], b[0] - a[0]), False))
+    return out
+
+
+def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[Point]:
+    """Gradients where a dual edge of f crosses a dual edge of g."""
+    out = set()
+    edges_g = _dual_edges(g)
+    for (bf0, bf1), (df0, df1), seg_f in _dual_edges(f):
+        for (bg0, bg1), (dg0, dg1), seg_g in edges_g:
+            det = df0 * dg1 - df1 * dg0
+            if det == 0:
+                continue
+            # The lines meet at parameters s / det along f's edge and
+            # t / det along g's; det > 0 after the sign flip.
+            w0, w1 = bg0 - bf0, bg1 - bf1
+            s = w0 * dg1 - w1 * dg0
+            t = w0 * df1 - w1 * df0
+            if det < 0:
+                det, s, t = -det, -s, -t
+            if 0 <= s and 0 <= t and (s <= det or not seg_f) and (t <= det or not seg_g):
+                s /= det
+                out.add((bf0 + s * df0, bf1 + s * df1))
+    return out
+
+
 def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
     """Sup-convolution: u -> sup {f(u') + g(u'') : u' + u'' = u}.
 
-    The hypograph of the result is the Minkowski sum of the hypographs, so the
-    envelope of pairwise vertex sums computes it exactly.
+    The hypograph of the result is the Minkowski sum of the hypographs. In
+    the plane its cell with gradient γ is the sum of the faces of f and g on
+    which z - <γ, p> is largest, so the cells are the mixed cells of the two
+    subdivisions (Huber–Sturmfels), read off the cells of f and g: γ is a
+    cell gradient of f or of g, or a point where a dual edge of f crosses
+    one of g. The envelope of the pairwise vertex sums builds the result
+    when a summand's domain is a segment in the plane, when both are points,
+    and in one variable, where that envelope's flag also counts a collinear
+    vertex sum that a later sum lifts off the result.
+
+    `had_collinear` is the flag of that envelope: in the plane, some vertex
+    sum lies on the result without being a vertex of it. Parallel edges of
+    f and g in one cell give such a sum (f □ f has them wherever f has an
+    edge), so the sum of strictly concave functions may carry the flag.
     """
     if f.m != g.m:
         raise ValueError("mixed dimensions in sup-convolution")
-    sums = [
-        (tuple(a + b for a, b in zip(p, q)), zf + zg)
-        for p, zf in f.vertices
-        for q, zg in g.vertices
-    ]
-    return ConcavePL.from_graph_points(sums)
+    sizes = {len(f.domain_vertices()), len(g.domain_vertices())}
+    if f.m == 1 or 2 in sizes or sizes == {1}:
+        return ConcavePL.from_graph_points(
+            (tuple(a + b for a, b in zip(p, q)), zf + zg) for p, zf in f.vertices for q, zg in g.vertices
+        )
+    cells = []
+    tight: dict[Point, Fraction] = {}
+    for grad in {grad for grad, _ in f.cells() + g.cells()} | _dual_crossings(f, g):
+        top_f, face_f = _top_face(f, grad)
+        top_g, face_g = _top_face(g, grad)
+        sums = {(p[0] + q[0], p[1] + q[1]): zf + zg for p, zf in face_f for q, zg in face_g}
+        cell = convex_hull_2d(sums)
+        if len(cell) >= 3:
+            cells.append((grad, top_f + top_g, tuple(cell)))
+            tight.update(sums)
+    corners = {p for _, _, cell in cells for p in cell}
+    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, tuple(sorted(cells)))
 
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:

@@ -14,7 +14,7 @@ Values inside tuples are integers or rationals written n/d, with no spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codes import EvaluationSetup
@@ -44,6 +44,9 @@ class ProblemSpec:
     box_vertices: list[tuple[int, ...]]
     hstar: dict[str, list[tuple[tuple[int, ...], Fraction]]]
     eval_names: list[str] | None = None
+    # The envelope of each hstar graph, keyed by the graph as a tuple, as
+    # `parse` built it for its below-the-envelope check.
+    envelopes: dict[tuple, ConcavePL] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -67,7 +70,8 @@ class ProblemSpec:
             P = self.points[name]
             if P in slices:
                 raise ValueError(f"two slices declared at the same point {P.render()}")
-            slices[P] = ConcavePL.from_graph_points(graph)
+            env = self.envelopes.get(tuple(graph))
+            slices[P] = ConcavePL.from_graph_points(graph) if env is None else env
         return DivisorialPolytope(curve, self.box(), slices)
 
     def to_setup(self) -> EvaluationSetup:
@@ -226,6 +230,7 @@ def parse(text: str) -> ProblemSpec:
 
     arity = 2 if box_is_interval else 3
     hstar: dict[str, list[tuple[tuple[int, ...], Fraction]]] = {}
+    envelopes: dict[tuple, ConcavePL] = {}
     for line_no, name, toks in hstar_raw:
         if name not in points:
             raise ParseError(line_no, f"unknown point {name!r} in hstar")
@@ -248,6 +253,7 @@ def parse(text: str) -> ProblemSpec:
                     line_no, f"graph point {pos} with value {val} is below the concave envelope"
                 )
         hstar[name] = graph
+        envelopes[tuple(graph)] = env
 
     eval_names: list[str] | None = None
     if eval_tokens is not None and eval_tokens != ["all-admissible"]:
@@ -264,7 +270,7 @@ def parse(text: str) -> ProblemSpec:
             raise ParseError(box_line, "polygon box is degenerate")
 
     return ProblemSpec(
-        p, curve_kind, A, B, points, box_is_interval, box_vertices, hstar, eval_names
+        p, curve_kind, A, B, points, box_is_interval, box_vertices, hstar, eval_names, envelopes
     )
 
 

@@ -353,19 +353,23 @@ def self_intersection(dp: DivisorialPolytope) -> Fraction:
 
 def mixed_volume(dps: list[DivisorialPolytope]) -> Fraction:
     """Polarization of the volume: V = (1/k!) sum over nonempty subsets S of
-    (-1)^(k-|S|) vol(sum of the members of S)."""
+    (-1)^(k-|S|) vol(sum of the members of S).
+
+    Each subset's sum is the stored sum of its lower members plus its top
+    member, so sums associate from the left: ((m0 + m1) + m2).
+    """
     k = len(dps)
     if k == 0:
         raise ValueError("mixed volume of an empty family")
     if any(dp.m != dps[0].m for dp in dps):
         raise ValueError("mixed volume arguments must share a dimension")
     total = Fraction(0)
+    sums: list[DivisorialPolytope | None] = [None]
     for mask in range(1, 1 << k):
-        member = [dp for i, dp in enumerate(dps) if mask >> i & 1]
-        acc = member[0]
-        for dp in member[1:]:
-            acc = acc.add(dp)
-        total += (-1) ** (k - len(member)) * volume(acc)
+        top = mask.bit_length() - 1
+        lower = sums[mask ^ (1 << top)]
+        sums.append(dps[top] if lower is None else lower.add(dps[top]))
+        total += (-1) ** (k - mask.bit_count()) * volume(sums[mask])
     return total / factorial(k)
 
 

@@ -64,8 +64,9 @@ def test_validate_failure_exit_code(tmp_path, capsys):
 
 
 def test_info_builds_each_slice_once(monkeypatch, capsys):
-    # Each declared slice is enveloped by the parse check and by one build;
-    # the shared zero slice of the unmarked points adds one more call.
+    # Each declared slice is enveloped once, by the parse check, and the
+    # build reuses it; the shared zero slice of the unmarked points adds one
+    # more call.
     envelope_1d = ConcavePL._envelope_1d.__func__
     calls = Counter()
 
@@ -80,8 +81,8 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
         return tuple(((x,), z) for x, z in pts)
 
     assert calls == {
-        graph((0, 0), (4, 2)): 2,
-        graph((0, 0), (2, 2), (3, 1), (4, -1)): 2,
+        graph((0, 0), (4, 2)): 1,
+        graph((0, 0), (2, 2), (3, 1), (4, -1)): 1,
         graph((0, 0), (4, 0)): 1,
     }
 

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from tcodes import ConcavePL, LatticePolytope, SupportFunctionSlice, sup_convolution, toric_polytope
+from tcodes import (
+    ConcavePL,
+    DivisorialPolytope,
+    LatticePolytope,
+    SupportFunctionSlice,
+    point_divisor_dual,
+    sup_convolution,
+    toric_polytope,
+)
 from tcodes.algebra import rational_ceil, rational_floor
 from tcodes.convex import (
     Facet,
@@ -21,7 +29,7 @@ from tcodes.convex import (
     primitive_vector,
     signed_ceiling_interior_sum,
 )
-from tcodes.instances import HEXAGON_VERTICES
+from tcodes.instances import HEXAGON_VERTICES, marked_point_pair, standard_elliptic, surface_example, threefold_example
 
 S1_GRAPH = [(0, 0), (4, 2)]
 S2_GRAPH = [(0, 0), (2, 2), (3, 1), (4, -1)]
@@ -616,3 +624,161 @@ def test_concave_pl_matches_reference_queries():
     # Every shape of domain, with and without collinear input where it can occur.
     assert set(kinds) >= {(1, 0, False), (1, 1, False), (1, 1, True), (2, 0, False), (2, 1, False), (2, 1, True), (2, 2, False), (2, 2, True)}
     assert inside > 10_000 and outside > 5_000
+
+
+# Oracle: the former sup-convolution, which enveloped every pairwise vertex
+# sum. The mixed-cell construction must give the same vertices, flag and
+# cells.
+
+
+def reference_sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
+    """Sup-convolution: u -> sup {f(u') + g(u'') : u' + u'' = u}.
+
+    The hypograph of the result is the Minkowski sum of the hypographs, so the
+    envelope of pairwise vertex sums computes it exactly.
+    """
+    if f.m != g.m:
+        raise ValueError("mixed dimensions in sup-convolution")
+    sums = [
+        (tuple(a + b for a, b in zip(p, q)), zf + zg)
+        for p, zf in f.vertices
+        for q, zg in g.vertices
+    ]
+    return ConcavePL.from_graph_points(sums)
+
+
+def assert_sup_matches_reference(f, g):
+    got, want = sup_convolution(f, g), reference_sup_convolution(f, g)
+    assert (got.vertices, got.had_collinear, got.facets()) == (want.vertices, want.had_collinear, want.facets()), (f, g)
+    return got
+
+
+def crossed(f, g, h):
+    """Whether h has a cell whose gradient is a cell gradient of neither summand."""
+    known = {grad for grad, _ in f.cells() + g.cells()}
+    return any(grad not in known for grad, _ in h.cells())
+
+
+def test_sup_convolution_matches_reference_on_random_2d_pairs():
+    rng = random.Random(1010)
+    sets = random_graph_sets(rng)
+    pool = []
+    while len(pool) < 45:
+        # Scattered rational values, mins of affine pieces, and sets with
+        # collinear and repeated points, in turn.
+        pts = next(sets)
+        if len(convex_hull_2d([make_point(p) for p, _ in pts])) >= 3:
+            pool.append(ConcavePL.from_graph_points(pts))
+    assert sum(f.had_collinear for f in pool) >= 5
+    flags = crossings = 0
+    for _ in range(150):
+        f, g = rng.choice(pool), rng.choice(pool)
+        h = assert_sup_matches_reference(f, g)
+        flags += h.had_collinear
+        crossings += crossed(f, g, h)
+    assert 10 <= flags <= 140
+    assert crossings >= 50
+
+
+def test_sup_convolution_with_point_and_segment_domains():
+    rng = random.Random(1011)
+    graphs = random_pl_graphs(rng)
+    by_shape = {}
+    while min(len(by_shape.get(k, [])) for k in ((2, 0), (2, 1), (2, 2))) < 12:
+        f = ConcavePL.from_graph_points(next(graphs))
+        if f.m == 2:
+            by_shape.setdefault((2, f.domain_dim()), []).append(f)
+    points, segments, polygons = by_shape[(2, 0)], by_shape[(2, 1)], by_shape[(2, 2)]
+    for _ in range(40):
+        # One-vertex summands on either side, and two point domains.
+        pt, f = rng.choice(points), rng.choice(polygons)
+        h = assert_sup_matches_reference(f, pt)
+        assert h.facets() == assert_sup_matches_reference(pt, f).facets()
+        # A translate keeps the gradients of f.
+        assert [grad for grad, _ in h.cells()] == [grad for grad, _ in f.cells()]
+        assert_sup_matches_reference(pt, rng.choice(points))
+        # Segments in the plane against every kind of summand.
+        seg = rng.choice(segments)
+        for other in (rng.choice(points), rng.choice(segments), rng.choice(polygons)):
+            assert_sup_matches_reference(seg, other)
+            assert_sup_matches_reference(other, seg)
+
+
+def test_sup_convolution_of_a_function_with_itself_is_its_double():
+    rng = random.Random(1012)
+    sets = random_graph_sets(rng)
+    doubled = 0
+    while doubled < 40:
+        pts = next(sets)
+        if len(convex_hull_2d([make_point(p) for p, _ in pts])) < 3:
+            continue
+        f = ConcavePL.from_graph_points(pts)
+        two, scaled = assert_sup_matches_reference(f, f), f.scale(2)
+        assert (two.vertices, two.facets()) == (scaled.vertices, scaled.facets())
+        # A cell edge of f doubled holds the sum of its two ends at its midpoint.
+        assert two.had_collinear
+        doubled += 1
+
+
+def test_sup_convolution_matches_reference_on_random_1d_pairs():
+    rng = random.Random(1013)
+    graphs = random_pl_graphs(rng)
+    pool = []
+    while len(pool) < 60:
+        f = ConcavePL.from_graph_points(next(graphs))
+        if f.m == 1:
+            pool.append(f)
+    assert {f.domain_dim() for f in pool} == {0, 1}
+    for _ in range(400):
+        assert_sup_matches_reference(rng.choice(pool), rng.choice(pool))
+    with pytest.raises(ValueError):
+        sup_convolution(pool[0], ConcavePL.from_graph_points([((0, 0), 0)]))
+
+
+POLYGON_BOXES = {
+    "triangle": [(0, 0), (2, 0), (0, 2)],
+    "square": [(0, 0), (1, 0), (1, 1), (0, 1)],
+    "hexagon": HEXAGON_VERTICES,
+}
+
+
+def folded_polygon_slices(rng, shape, count):
+    """Slices in the benchmark's style: the minimum of two affine pieces with
+    small gradients, sampled at the box vertices."""
+    verts = POLYGON_BOXES[shape]
+    out = []
+    while len(out) < count:
+        pieces = [((rng.randint(-1, 1), rng.randint(-1, 1)), rng.randint(0, 2)) for _ in range(2)]
+        f = ConcavePL.from_graph_points([(v, min(g[0] * v[0] + g[1] * v[1] + c for g, c in pieces)) for v in verts])
+        if shape == "triangle" or len(f.facets()) == 2:
+            out.append(f)
+    return out
+
+
+def test_sup_convolution_matches_reference_on_polygon_slices():
+    rng = random.Random(1014)
+    summands = [f for shape in POLYGON_BOXES for f in folded_polygon_slices(rng, shape, 5)]
+    # The fiber of a point and the zero slice on a point box.
+    summands += [ConcavePL.from_graph_points([((0, 0), 1)]), ConcavePL.from_graph_points([((0, 0), 0)])]
+    sums = [assert_sup_matches_reference(f, g) for f in summands for g in summands]
+    # Sums of sums, as polarization builds them.
+    for _ in range(60):
+        assert_sup_matches_reference(rng.choice(sums), rng.choice(summands))
+
+
+def test_divisorial_sums_match_reference_on_the_built_ins():
+    E7 = standard_elliptic()
+    surface, three = surface_example(E7), threefold_example()
+    Q1, _ = marked_point_pair(E7)
+    fiber_1d = point_divisor_dual(E7, Q1)
+    fiber_2d = point_divisor_dual(three.curve, next(iter(three.slices)), m=2)
+    three_twice = three.add(three)
+    pairs = [(surface, surface), (surface, fiber_1d), (fiber_1d, surface), (three, three), (three, fiber_2d), (fiber_2d, three), (three_twice, three), (three_twice, fiber_2d)]
+    for a, b in pairs:
+        got = a.add(b)
+        support = set(a.slices) | set(b.slices)
+        want = {P: reference_sup_convolution(a.slice_at(P), b.slice_at(P)) for P in support}
+        assert got == DivisorialPolytope(a.curve, a.box.minkowski(b.box), want)
+        for P, w in want.items():
+            h = got.slices[P]
+            assert (h.had_collinear, h.facets()) == (w.had_collinear, w.facets())

@@ -51,6 +51,15 @@ def test_round_trip():
         assert render(again) == out
 
 
+def test_build_reuses_the_parsed_envelopes():
+    spec = parse(THREEFOLD_TEXT)
+    built = spec.to_polytope()
+    assert all(built.slices[spec.points[name]] is spec.envelopes[tuple(graph)] for name, graph in spec.hstar.items())
+    # A graph changed after parsing is enveloped afresh.
+    spec.hstar["P0"] = [(v, 0) for v, _ in spec.hstar["P0"]]
+    assert spec.to_polytope().slices[spec.points["P0"]].affine_data() == ((0, 0), 0)
+
+
 def test_point_coordinates_normalized():
     spec = parse(
         "field p=7\ncurve elliptic A=0 B=3\npoint R = (8,9)\nbox [0,1]\nhstar R : (0,0) (1,1)\n"

@@ -1,6 +1,8 @@
 """Tests for divisorial polytopes: validation, divisors, sections, volumes."""
 
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -31,6 +33,7 @@ from tcodes import (
     weil_divisor,
 )
 from tcodes.instances import (
+    HEXAGON_VERTICES,
     marked_point_pair,
     standard_elliptic,
     surface_example,
@@ -165,6 +168,51 @@ def test_mixed_volume_polarization():
         intersection_number([SURFACE])
     with pytest.raises(ValueError):
         mixed_volume([])
+
+
+def reference_mixed_volume(dps):
+    """The former polarization loop: each subset summed afresh."""
+    k = len(dps)
+    total = Fraction(0)
+    for mask in range(1, 1 << k):
+        member = [dp for i, dp in enumerate(dps) if mask >> i & 1]
+        acc = member[0]
+        for dp in member[1:]:
+            acc = acc.add(dp)
+        total += (-1) ** (k - len(member)) * volume(acc)
+    return total / factorial(k)
+
+
+def folded_polygon_dp(rng, verts) -> DivisorialPolytope:
+    """A polygon box over P^1 with slices at 0, 1 and infinity, each the
+    minimum of two affine pieces sampled at the box vertices."""
+    curve = Curve.p1(7)
+    slices = {}
+    for P in (CurvePoint.affine(0, 0, 7), CurvePoint.affine(1, 0, 7), INFINITY):
+        pieces = [((rng.randint(-1, 1), rng.randint(-1, 1)), rng.randint(0, 2)) for _ in range(2)]
+        slices[P] = ConcavePL.from_graph_points([(v, min(g[0] * v[0] + g[1] * v[1] + c for g, c in pieces)) for v in verts])
+    return DivisorialPolytope(curve, LatticePolytope(verts), slices)
+
+
+def test_mixed_volume_matches_the_former_polarization(monkeypatch):
+    rng = random.Random(160)
+    shapes = [[(0, 0), (2, 0), (0, 2)], [(0, 0), (1, 0), (1, 1), (0, 1)], HEXAGON_VERTICES]
+    families = [[SURFACE], [SURFACE, SURFACE], [SURFACE, point_divisor_dual(E7, Q1)], [THREEFOLD] * 3]
+    for _ in range(4):
+        a, b = (folded_polygon_dp(rng, rng.choice(shapes)) for _ in range(2))
+        fiber = point_divisor_dual(a.curve, CurvePoint.affine(rng.randint(2, 6), 0, 7), m=2)
+        families += [[a, b], [a, b, fiber], [a, a, b]]
+    calls = []
+    add = DivisorialPolytope.add
+    monkeypatch.setattr(DivisorialPolytope, "add", lambda self, other: calls.append(1) or add(self, other))
+    for dps in families:
+        del calls[:]
+        got = mixed_volume(dps)
+        adds = len(calls)
+        assert got == reference_mixed_volume(dps), dps
+        # One add per subset of two or more: a triple costs four, not five.
+        assert adds == 2 ** len(dps) - 1 - len(dps)
+        assert len(calls) - adds == {1: 0, 2: 1, 3: 5}[len(dps)]
 
 
 def test_point_divisor_dual_pairing():
