@@ -7,13 +7,16 @@ section value by the fixed local trivialization exponent at each point.
 
 The columns at one point form a block over the torus (F_q^*)^m, and a row of
 weight u is (twisted values at the l points) tensor the character t -> t^u.
-Code columns, `d_upper` witnesses and toric generators all come from one
-character table (`_characters`), and the rank splits by u mod q - 1.
+The twisted values come from one batched kernel (`_section_values`). Code
+columns, `d_upper` witnesses at sloped points and toric generators all come
+from one character table (`_characters`); at a flat point a witness weight
+has a closed form. The rank splits by u mod q - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import isqrt, prod
 
@@ -113,6 +116,84 @@ class EvaluationSetup:
         v, c = self.twists[i]
         return sum(a * b for a, b in zip(u, v)) + c
 
+    @cached_property
+    def _twist_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Twist gradients (l x m) and offsets: the twists at weights U (one
+        per row) are U @ gradients.T + offsets."""
+        return (
+            np.array([v for v, _ in self.twists], dtype=np.int64).reshape(self.l, self.m),
+            np.array([c for _, c in self.twists], dtype=np.int64),
+        )
+
+    @cached_property
+    def _affine_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x, y, and which points the int64 pass of `_section_values` reads:
+        affine points on the curve (each checked here once) of a field below
+        _INT64_EXACT_BELOW."""
+        small = self.q < _INT64_EXACT_BELOW
+        batched = [small and not P.is_infinity and self.curve.contains(P) for P in self.points]
+        return (
+            np.array([P.x if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
+            np.array([P.y if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
+            np.array(batched, dtype=bool),
+        )
+
+
+# Products of two residues and a residue stay below 2^63 while p < 3.03e9.
+_INT64_EXACT_BELOW = 3_000_000_000
+
+
+def _horner(polys: list[Poly], xs: np.ndarray, p: int) -> np.ndarray:
+    """Every polynomial at every x, mod p: one row per polynomial, one int64
+    Horner pass over all of them (exact for p < _INT64_EXACT_BELOW)."""
+    coeffs = np.zeros((len(polys), max((len(f.coeffs) for f in polys), default=0)), dtype=np.int64)
+    for row, f in zip(coeffs, polys):
+        row[: len(f.coeffs)] = f.coeffs
+    acc = np.zeros((len(polys), len(xs)), dtype=np.int64)
+    for column in coeffs.T[::-1]:
+        acc = (acc * xs + column[:, None]) % p
+    return acc
+
+
+def _section_values(
+    setup: EvaluationSetup, sections: list[FunctionFieldElement], ks: np.ndarray, at: np.ndarray | None = None
+) -> np.ndarray:
+    """f * t^k at evaluation points, as an int64 array with one row per
+    section f and one column per point of `at` (default: every point). `ks`
+    holds the twists, one row per section or one row for all.
+
+    At an affine point where c(P) != 0, f = (a + b y) / c is regular, so
+    f * t^k is f(P) for k = 0 and 0 for k > 0 (also when f(P) = 0). a, b and
+    c are evaluated at all such points by one int64 Horner pass each, mod p.
+    That is exact for p < _INT64_EXACT_BELOW (as in `_characters`), and
+    `check_prime_field` keeps every field below 2^31; past the bound no point
+    takes this path. Where c(P) = 0, at infinity, at a point off the curve
+    and for k < 0, `twisted_evaluate` gives the value or raises its own
+    error, in row then point order as a per-point loop would.
+    """
+    p = setup.q
+    at = np.arange(setup.l) if at is None else at
+    xs, ys, batched = setup._affine_arrays
+    xs, ys, batched = xs[at], ys[at], batched[at]
+    ks = np.broadcast_to(ks, (len(sections), len(at)))
+    values = np.zeros(ks.shape, dtype=np.int64)
+    regular = np.zeros(ks.shape, dtype=bool)
+    if batched.any():
+        num = (_horner([f.a for f in sections], xs, p) + _horner([f.b for f in sections], xs, p) * ys) % p
+        den = _horner([f.c for f in sections], xs, p)
+        regular = batched & (den != 0) & (ks >= 0)
+        # 1/c by Fermat, c^(p-2), squaring in int64.
+        inv, power, e = np.ones_like(den), den, p - 2
+        while e:
+            if e & 1:
+                inv = inv * power % p
+            power = power * power % p
+            e >>= 1
+        values = np.where(regular & (ks == 0), num * inv % p, 0)
+    for s, j in zip(*np.nonzero(~regular)):
+        values[s, j] = twisted_evaluate(setup.curve, sections[s], setup.points[at[j]], int(ks[s, j]))
+    return values
+
 
 def _characters(p: int, m: int, exponents) -> np.ndarray:
     """Character table over (F_p^*)^m: row j holds t^(u_j) at every torus
@@ -174,18 +255,21 @@ class EvaluationCode:
 
 
 def build_code(setup: EvaluationSetup) -> EvaluationCode:
-    """Evaluate every graded basis element at every (point, torus) column."""
-    curve = setup.curve
+    """Evaluate every graded basis element at every (point, torus) column.
+
+    A piece of weight u twists by one k_i per point; the rows are the section
+    values of `_section_values`, all sections in one pass, tensor t^u.
+    """
     p = setup.q
     pieces = graded_sections(setup.dp).pieces
-    rows: list[list[int]] = []
-    labels: list[tuple[tuple[int, ...], int]] = []
-    for piece, chi in zip(pieces, _characters(p, setup.m, [piece.u for piece in pieces])):
-        u = piece.u
-        for j, f in enumerate(piece.basis):
-            vals = [twisted_evaluate(curve, f, P, setup.twist_exponent(i, u)) for i, P in enumerate(setup.points)]
-            rows.append((np.array(vals, dtype=np.int64)[:, None] * chi % p).ravel().tolist())
-            labels.append((u, j))
+    gradients, offsets = setup._twist_arrays
+    weights = np.array([piece.u for piece in pieces], dtype=np.int64).reshape(-1, setup.m)
+    owner = [i for i, piece in enumerate(pieces) for _ in piece.basis]
+    sections = [f for piece in pieces for f in piece.basis]
+    values = _section_values(setup, sections, (weights @ gradients.T + offsets)[owner])
+    chi = _characters(p, setup.m, weights)
+    rows = [(row[:, None] * chi[i] % p).ravel().tolist() for row, i in zip(values, owner)]
+    labels = [(piece.u, j) for piece in pieces for j in range(len(piece.basis))]
     return EvaluationCode(setup, rows, labels)
 
 
@@ -349,11 +433,26 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
 
 
 def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement) -> int | None:
-    """Exact weight of the certificate codeword, None if it evaluates to zero."""
+    """Exact weight of the certificate codeword, None if it evaluates to zero.
+
+    The word is f t^base prod_a prod_j (t_a - eta_j), eta_j the first r_a
+    powers of g. At a flat point (twist gradient 0) every term shares the
+    twist c, so the word there is (f t^c)(P) t^base prod(t_a - eta_j), whose
+    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a). Only sloped points are
+    weighed column by column against the character table.
+    """
     curve, p = setup.curve, setup.q
+    sides = [t - s for s, t in B]
+    gradients, offsets = setup._twist_arrays
+    flat = ~gradients.any(axis=1)
+    at = np.flatnonzero(flat)
+    nonzero = np.count_nonzero(_section_values(setup, [f], offsets[at], at))
+    weight = int(nonzero) * prod(max(0, p - 1 - r) for r in sides)
+    sloped = np.flatnonzero(~flat)
+    if not sloped.size:
+        return weight or None
     g = primitive_root(p)
     base = tuple(s for s, _ in B)
-    sides = [t - s for s, t in B]
     shifts: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for r in sides:
         # Coefficients of prod_j (T - eta_j) with eta_j the first r powers of g.
@@ -362,17 +461,17 @@ def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: F
             poly = poly * Poly([-pow(g, j, p), 1], p)
         shifts = [(e + (d,), c * a % p) for e, c in shifts for d, a in enumerate(poly.coeffs)]
     terms = [(tuple(b + d for b, d in zip(base, e)), c) for e, c in shifts if c]
-    V = np.zeros((setup.l, len(terms)), dtype=np.int64)
-    for i, P in enumerate(setup.points):
-        # One f * t^k at P per distinct twist k (all terms share it at a flat slice).
+    V = np.zeros((len(sloped), len(terms)), dtype=np.int64)
+    for row, i in enumerate(sloped):
+        # One f * t^k at P per distinct twist k.
         ks = [setup.twist_exponent(i, u) for u, _ in terms]
-        values = {k: twisted_evaluate(curve, f, P, k) for k in dict.fromkeys(ks)}
-        V[i] = [c * values[k] % p for (_, c), k in zip(terms, ks)]
+        values = {k: twisted_evaluate(curve, f, setup.points[i], k) for k in dict.fromkeys(ks)}
+        V[row] = [c * values[k] % p for (_, c), k in zip(terms, ks)]
     table = _characters(p, setup.m, [u for u, _ in terms])
-    cols = np.zeros((setup.l, table.shape[1]), dtype=np.int64)
+    cols = np.zeros((len(sloped), table.shape[1]), dtype=np.int64)
     for j in range(len(terms)):
         cols = (cols + V[:, j, None] * table[j]) % p
-    return int(np.count_nonzero(cols)) or None
+    return weight + int(np.count_nonzero(cols)) or None
 
 
 def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:

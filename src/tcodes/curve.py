@@ -58,6 +58,7 @@ class Curve:
             disc = (4 * self.A**3 + 27 * self.B**2) % p
             if disc == 0:
                 raise ValueError("singular Weierstrass equation (4A^3 + 27B^2 = 0)")
+        self._rhs = Poly([self.B, self.A, 0, 1], p)
 
     @classmethod
     def p1(cls, p: int) -> "Curve":
@@ -77,7 +78,7 @@ class Curve:
 
     def rhs(self) -> Poly:
         """The cubic x^3 + A x + B (elliptic only)."""
-        return Poly([self.B, self.A, 0, 1], self.p)
+        return self._rhs
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tcodes import (
@@ -36,7 +37,7 @@ from tcodes import (
     weight_enumerator,
 )
 from tcodes.algebra import primitive_root, rational_floor
-from tcodes.curve import Divisor, riemann_roch_basis, twisted_evaluate
+from tcodes.curve import Divisor, FunctionFieldElement, riemann_roch_basis, twisted_evaluate, valuation
 from tcodes.instances import (
     marked_point_pair,
     p1_torus_points,
@@ -51,6 +52,7 @@ from tcodes.instances import (
 )
 from tcodes.tvariety import graded_sections, nu, project
 
+from test_curve import random_functions
 from test_properties import small_code_instance
 
 E7 = standard_elliptic()
@@ -493,6 +495,131 @@ def test_small_codes_match_reference(monkeypatch):
             continue
         assert_code_matches_reference(setup, monkeypatch)
         seen += 1
+
+
+# Oracle for the per-point code kernel: the former build_code row loop, one
+# twisted_evaluate per (section, point), against `_section_values` on P^1 and
+# elliptic curves, 2-torsion points (e = 2) and infinity, sections with zeros
+# and poles at the evaluation points, and sloped points.
+
+
+def reference_section_values(setup, sections, ks):
+    return [[twisted_evaluate(setup.curve, f, P, int(k)) for P, k in zip(setup.points, row)] for f, row in zip(sections, ks)]
+
+
+def _value_or_error(fn, *args):
+    try:
+        return np.asarray(fn(*args)).tolist()
+    except ValueError as e:
+        return str(e)
+
+
+# (curve, stored point, sloped slice b + alpha u on [0, a]); every other
+# rational point is flat and evaluated too, infinity included.
+KERNEL_SETUPS = [
+    (Curve.p1(7), INFINITY, (2, 1, 3)),
+    (Curve.p1(11), CurvePoint.affine(4, 0, 11), (3, -1, 5)),
+    (E7, INFINITY, (3, 1, 2)),
+    (Curve.elliptic(7, 1, 0), CurvePoint.affine(0, 0, 7), (2, 1, 3)),
+    (Curve.elliptic(5, 0, 3), CurvePoint.affine(3, 0, 5), (2, -1, 5)),
+    (Curve.elliptic(13, 1, 0), CurvePoint.affine(5, 0, 13), (3, 1, 2)),
+]
+
+
+def kernel_setup(curve, point, sizes):
+    return EvaluationSetup.build(ruled_divpoly(curve, *sizes, point))
+
+
+@pytest.mark.parametrize("curve,point,sizes", KERNEL_SETUPS, ids=lambda x: getattr(x, "kind", None))
+def test_section_values_match_the_point_loop(curve, point, sizes):
+    setup = kernel_setup(curve, point, sizes)
+    assert any(P.is_infinity for P in setup.points)
+    rng = random.Random(7000 + curve.p)
+    sections = random_functions(rng, curve, 24)
+    orders = [[0 if f.is_zero() else valuation(curve, f, P) for P in setup.points] for f in sections]
+    # Twists at, next to and away from -ord_P f: leading coefficients, zeros, and refusals.
+    exact = np.array([[-v + rng.choice([0, 0, 0, 1, 2]) for v in row] for row in orders])
+    near = exact - np.array([[rng.random() < 0.05 for _ in row] for row in orders])
+    for ks in (exact, near, np.zeros_like(exact), exact[3:4]):
+        fs = sections if len(ks) > 1 else [sections[3]]
+        want = _value_or_error(reference_section_values, setup, fs, np.broadcast_to(ks, (len(fs), setup.l)))
+        assert _value_or_error(codes._section_values, setup, fs, ks) == want
+        if len(ks) == 1:
+            assert _value_or_error(codes._section_values, setup, fs, ks[0]) == want
+    at = np.array(sorted(rng.sample(range(setup.l), setup.l // 2)))
+    got = codes._section_values(setup, sections, exact[:, at], at)
+    want = [[row[j] for j in at] for row in reference_section_values(setup, sections, exact)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("curve,point,sizes", KERNEL_SETUPS, ids=lambda x: getattr(x, "kind", None))
+def test_kernel_setups_match_reference(curve, point, sizes, monkeypatch):
+    setup = kernel_setup(curve, point, sizes)
+    flat = [not any(v) for v, _ in setup.twists]
+    assert any(flat) and not all(flat)
+    _, upper, checked = assert_code_matches_reference(setup, monkeypatch)
+    assert checked and upper.witness.weight is not None
+
+
+def test_witness_weight_matches_reference_on_flat_and_sloped_points():
+    # Sections with a pole at the sloped point, some with a zero at a flat
+    # one, on every sub-box: the flat closed form plus the sloped table count
+    # against the full table.
+    p1 = Curve.p1(7)
+    for curve, point, sizes in KERNEL_SETUPS[:4]:
+        setup = kernel_setup(curve, point, sizes)
+        rng = random.Random(curve.p)
+        stored = setup.dp.stored_points()[0]
+        # The slice is at least 2 on the box, so these poles fit every twist.
+        zero = next(P for P in setup.points if P != stored)
+        divisors = [Divisor({stored: 2}), Divisor({stored: 2, zero: -1})]
+        sections = [f for D in divisors for f in riemann_roch_basis(curve, D)]
+        assert len(sections) >= 3
+        for B in codes._sub_boxes(setup.dp, setup.q):
+            f = rng.choice(sections)
+            assert codes._witness_weight(setup, B, f) == reference_witness_weight(setup, B, f), (B, f)
+    # A certificate that evaluates to zero: (x - 1)(x - 2) vanishes at both
+    # flat points, and the twist 3 + u at the sloped infinity exceeds its pole.
+    setup = EvaluationSetup.build(ruled_divpoly(p1, 2, 1, 3), [CurvePoint.affine(1, 0, 7), CurvePoint.affine(2, 0, 7), INFINITY])
+    f = FunctionFieldElement(p1, Poly([2, -3, 1], 7), Poly([], 7), Poly([1], 7))
+    for B in (((0, 0),), ((0, 2),), ((1, 2),)):
+        assert codes._witness_weight(setup, B, f) is None
+        assert reference_witness_weight(setup, B, f) is None
+
+
+def test_kernel_keeps_the_point_loop_refusals():
+    # The per-point loop refused these with exactly these messages.
+    p1 = Curve.p1(7)
+    dp = ruled_divpoly(p1, 1, 1, 2)
+    off = EvaluationSetup.build(dp, [CurvePoint.affine(1, 0, 7), CurvePoint.affine(2, 3, 7), INFINITY])
+    with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
+        build_code(off)
+    with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
+        codes._witness_weight(off, ((0, 1),), FunctionFieldElement.one(p1))
+    setup = EvaluationSetup.build(dp, [CurvePoint.affine(1, 0, 7), CurvePoint.affine(3, 0, 7)])
+    one = FunctionFieldElement.one(p1)
+    with pytest.raises(ValueError, match=r"^pole of order 0 exceeds twist -1 at \(3,0\)$"):
+        codes._section_values(setup, [one], np.array([0, -1]))
+    pole = FunctionFieldElement(p1, Poly([1], 7), Poly([], 7), Poly([-3, 1], 7))
+    with pytest.raises(ValueError, match=r"^pole of order 1 exceeds twist 0 at \(3,0\)$"):
+        codes._section_values(setup, [one, pole], np.array([0, 0]))
+
+
+def test_kernel_past_the_int64_bound_takes_the_point_loop(monkeypatch):
+    # Fields are capped below 2^31, so the bound is lowered to reach this path.
+    want = build_code(surface_code_setup())
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return twisted_evaluate(*args)
+
+    monkeypatch.setattr(codes, "_INT64_EXACT_BELOW", 7)
+    monkeypatch.setattr(codes, "twisted_evaluate", counting)
+    setup = surface_code_setup()
+    assert not setup._affine_arrays[2].any()
+    assert build_code(setup).rows == want.rows
+    assert len(calls) == len(want.rows) * setup.l
 
 
 @pytest.mark.parametrize("name", sorted(builtin_setups()))
