@@ -4,19 +4,26 @@ Everything is computed over rationals: lattice polytopes, upper concave
 envelopes of finite graph-point sets, min-plus support-function slices, the
 Legendre-type duality between the two, sup-convolution, and exact integrals
 of concave piecewise-linear functions over their domains.
+
+The arithmetic runs in integers: numerators over common denominators, with
+`Fraction` built only for the public views and results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from functools import cached_property, cmp_to_key
+from heapq import merge
+from itertools import accumulate, groupby, product
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import rational_ceil, rational_floor
 
 Point = tuple[Fraction, ...]
+IntPoint = tuple[int, ...]
 
 
 def make_point(coords: Sequence[Fraction | int] | Fraction | int) -> Point:
@@ -30,32 +37,34 @@ def dot(u: Point, v: Point) -> Fraction:
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(c // g for c in v)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _lift(points: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[IntPoint]]:
+    """The least common denominator of exact points, and their numerators over it."""
+    den = lcm(*(c.denominator for p in points for c in p))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in p) for p in points]
+
+
+def _cross(o: IntPoint, a: IntPoint, b: IntPoint) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
-    """Convex hull, counterclockwise from the lexicographic minimum.
-
-    Degenerate inputs give one point or the two segment endpoints.
-    """
+def _hull(points: Iterable[IntPoint]) -> list[IntPoint]:
+    """Convex hull of integer points, counterclockwise from the lexicographic
+    minimum. Degenerate inputs give one point or the two segment endpoints."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
+    lower: list[IntPoint] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Point] = []
+    upper: list[IntPoint] = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -66,37 +75,46 @@ def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
     return hull
 
 
+def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
+    """`_hull` of exact points, given back as the input points themselves."""
+    pts = list(points)
+    back = dict(zip(_lift(pts)[1], pts))
+    return [back[q] for q in _hull(back)]
+
+
 def polygon_area2(hull: Sequence[Point]) -> Fraction:
     """Twice the signed area (positive for counterclockwise order)."""
-    total = Fraction(0)
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        total += x1 * y2 - x2 * y1
-    return total
+    return sum((a[0] * b[1] - b[0] * a[1] for a, b in zip(hull, [*hull[1:], *hull[:1]])), Fraction(0))
+
+
+def _contains(hull: Sequence[IntPoint], p: IntPoint) -> bool:
+    """Whether p lies in a `_hull` result, or in an interval given by its ends."""
+    if len(hull) >= 3:
+        return all(_cross(a, b, p) >= 0 for a, b in zip(hull, [*hull[1:], *hull[:1]]))
+    # A point or a segment, its ends in lexicographic order.
+    return hull[0] <= p <= hull[-1] and (len(p) == 1 or _cross(hull[0], hull[-1], p) == 0)
+
+
+def _lattice_points(hull: Sequence[IntPoint], den: int = 1) -> list[tuple[int, ...]]:
+    """The integer points u with den * u in the hull, in lexicographic order."""
+    axes = [[c[i] for c in hull] for i in range(len(hull[0]))]
+    box = product(*(range(-(-min(a) // den), max(a) // den + 1) for a in axes))
+    return [u for u in box if _contains(hull, tuple(den * x for x in u))]
 
 
 def hull_contains(hull: Sequence[Point], p: Point) -> bool:
-    if len(hull) == 1:
-        return hull[0] == p
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        return all(min(a[i], b[i]) <= p[i] <= max(a[i], b[i]) for i in range(2))
-    return all(
-        _cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull))
-    )
+    _, pts = _lift([*hull, p])
+    return _contains(pts[:-1], pts[-1])
 
 
 def clip_segment(hull: Sequence[Point], q0: Point, q1: Point) -> tuple[Fraction, Fraction] | None:
     """Parameter range [tmin, tmax] of {q0 + t(q1-q0) : 0 <= t <= 1} inside the hull."""
-    tmin, tmax = Fraction(0), Fraction(1)
-    d = (q1[0] - q0[0], q1[1] - q0[1])
     if len(hull) < 3:
         raise ValueError("segment clipping needs a full-dimensional polygon")
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
+    _, (*hull, q0, q1) = _lift([*hull, q0, q1])
+    d = (q1[0] - q0[0], q1[1] - q0[1])
+    lo, hi = (0, 1), (1, 1)  # tmin and tmax as (numerator, positive denominator)
+    for a, b in zip(hull, hull[1:] + hull[:1]):
         # Inside condition cross(a, b, q0 + t d) >= 0 is affine in t.
         base = _cross(a, b, q0)
         slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
@@ -104,25 +122,65 @@ def clip_segment(hull: Sequence[Point], q0: Point, q1: Point) -> tuple[Fraction,
             if base < 0:
                 return None
         elif slope > 0:
-            tmin = max(tmin, -base / slope)
-        else:
-            tmax = min(tmax, -base / slope)
-    if tmin > tmax:
+            if -base * lo[1] > lo[0] * slope:
+                lo = (-base, slope)
+        elif base * hi[1] < hi[0] * -slope:
+            hi = (base, -slope)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return tmin, tmax
+    return Fraction(*lo), Fraction(*hi)
 
 
-def _interp_on_segment(q: Point, r: Point, zq: Fraction, zr: Fraction, p: Point) -> Fraction | None:
-    d = tuple(rc - qc for rc, qc in zip(r, q))
-    axis = next((i for i, c in enumerate(d) if c != 0), None)
-    if axis is None:
-        return None
-    lam = (p[axis] - q[axis]) / d[axis]
-    if not 0 <= lam <= 1:
-        return None
-    if any(q[i] + lam * d[i] != p[i] for i in range(len(p))):
-        return None
-    return (1 - lam) * zq + lam * zr
+def _minkowski(p: Sequence[IntPoint], q: Sequence[IntPoint]) -> list[IntPoint]:
+    """Minkowski sum of two `_hull` results that are polygons or points.
+
+    The edges of each, counterclockwise from the lexicographic minimum, turn
+    from just past straight down to straight down; merged in that order,
+    with parallel edges joined, they walk the sum from the sum of the minima.
+    """
+
+    def edges(h: Sequence[IntPoint]) -> list[IntPoint]:
+        return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(h, [*h[1:], *h[:1]])] if len(h) > 1 else []
+
+    def turn(e: IntPoint, f: IntPoint) -> int:  # < 0 when e comes first
+        half_e, half_f = (v[0] < 0 or (v[0] == 0 and v[1] < 0) for v in (e, f))
+        return half_e - half_f or e[1] * f[0] - e[0] * f[1]
+
+    key = cmp_to_key(turn)
+    steps = [tuple(map(sum, zip(*group))) for _, group in groupby(merge(edges(p), edges(q), key=key), key)]
+    start = (p[0][0] + q[0][0], p[0][1] + q[0][1])
+    return list(accumulate(steps[:-1], lambda a, e: (a[0] + e[0], a[1] + e[1]), initial=start))
+
+
+def _upper_chain(pts: list[IntPoint]) -> tuple[list[IntPoint], bool]:
+    """Upper hull of (position, value) pairs sorted by distinct positions,
+    and whether some pair that is not a hull vertex lies on the hull."""
+    chain: list[IntPoint] = []
+    for p in pts:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) >= 0:
+            chain.pop()
+        chain.append(p)
+    # bisect finds the chain edge over a position; a pair inside it is on the hull when collinear.
+    ends = [x for x, _ in chain]
+    return chain, any(
+        (i := bisect(ends, x)) < len(ends) and ends[i - 1] < x and _cross(chain[i - 1], chain[i], (x, z)) == 0
+        for x, z in pts
+    )
+
+
+def _line_chain(reps: dict[IntPoint, int], q0: IntPoint, q1: IntPoint) -> tuple[list[IntPoint], bool]:
+    """The envelope vertices of the points on the line through q0 and q1,
+    ordered from q0 towards q1 (lexicographically when q0 < q1), and its flag."""
+    d = (q1[0] - q0[0], q1[1] - q0[1])
+    line = {d[0] * (p[0] - q0[0]) + d[1] * (p[1] - q0[1]): p for p in reps if _cross(q0, q1, p) == 0}
+    chain, collinear = _upper_chain(sorted((s, reps[p]) for s, p in line.items()))
+    return [line[s] for s, _ in chain], collinear
+
+
+def _reduced(n0: int, n1: int, e: int) -> tuple[int, int, int]:
+    """A gradient (n0 / e, n1 / e), e > 0, in lowest terms."""
+    k = gcd(n0, n1, e)
+    return n0 // k, n1 // k, e // k
 
 
 class LatticePolytope:
@@ -136,18 +194,7 @@ class LatticePolytope:
         if m not in (1, 2) or any(len(v) != m for v in vtx):
             raise ValueError("polytopes are supported in dimensions 1 and 2")
         self.m = m
-        if m == 1:
-            lo = min(v[0] for v in vtx)
-            hi = max(v[0] for v in vtx)
-            self.vertices: tuple[tuple[int, ...], ...] = ((lo,),) if lo == hi else ((lo,), (hi,))
-        else:
-            hull = convex_hull_2d([make_point(v) for v in vtx])
-            out = []
-            for p in hull:
-                if any(c.denominator != 1 for c in p):
-                    raise ValueError("lattice polytope vertices must be integral")
-                out.append(tuple(int(c) for c in p))
-            self.vertices = tuple(out)
+        self.vertices: tuple[tuple[int, ...], ...] = tuple(_hull(vtx) if m == 2 else sorted({min(vtx), max(vtx)}))
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "LatticePolytope":
@@ -159,11 +206,7 @@ class LatticePolytope:
         return [make_point(v) for v in self.vertices]
 
     def contains(self, u: Sequence[int] | Sequence[Fraction]) -> bool:
-        p = make_point(u)
-        if self.m == 1:
-            lo, hi = self.bounds()
-            return lo <= p[0] <= hi
-        return hull_contains(self.vertex_points(), p)
+        return hull_contains(self.vertices, make_point(u))
 
     def bounds(self, axis: int = 0) -> tuple[int, int]:
         vals = [v[axis] for v in self.vertices]
@@ -171,43 +214,24 @@ class LatticePolytope:
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         """All integer points, in lexicographic order."""
-        if self.m == 1:
-            lo, hi = self.bounds()
-            return [(u,) for u in range(lo, hi + 1)]
-        xlo, xhi = self.bounds(0)
-        ylo, yhi = self.bounds(1)
-        return [
-            (x, y)
-            for x in range(xlo, xhi + 1)
-            for y in range(ylo, yhi + 1)
-            if self.contains((x, y))
-        ]
+        return _lattice_points(self.vertices)
 
     def volume(self) -> Fraction:
         """Length for m = 1, Euclidean area for m = 2."""
         if self.m == 1:
             lo, hi = self.bounds()
             return Fraction(hi - lo)
-        if len(self.vertices) < 3:
-            return Fraction(0)
-        return polygon_area2(self.vertex_points()) / 2
+        return polygon_area2(self.vertices) / 2
 
     def width_along(self, axis: int) -> int:
         lo, hi = self.bounds(axis)
         return hi - lo
 
     def is_full_dimensional(self) -> bool:
-        if self.m == 1:
-            return len(self.vertices) == 2
-        return len(self.vertices) >= 3
+        return len(self.vertices) > self.m
 
     def minkowski(self, other: "LatticePolytope") -> "LatticePolytope":
-        sums = [
-            tuple(a + b for a, b in zip(v, w))
-            for v in self.vertices
-            for w in other.vertices
-        ]
-        return LatticePolytope(sums)
+        return LatticePolytope([tuple(a + b for a, b in zip(v, w)) for v in self.vertices for w in other.vertices])
 
     def scale(self, k: int) -> "LatticePolytope":
         if k < 0:
@@ -222,13 +246,8 @@ class LatticePolytope:
             raise ValueError("normal-fan rays need a full-dimensional polytope")
         if self.m == 1:
             return [(-1,), (1,)]
-        out = []
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            d = (b[0] - a[0], b[1] - a[1])
-            out.append(primitive_vector((d[1], -d[0])))
-        return sorted(out)
+        v = self.vertices
+        return sorted(primitive_vector((b[1] - a[1], a[0] - b[0])) for a, b in zip(v, v[1:] + v[:1]))
 
     def min_face_vertices(self, n: Sequence[int]) -> list[tuple[int, ...]]:
         """Vertices minimizing the pairing with n."""
@@ -237,17 +256,14 @@ class LatticePolytope:
         return [v for v, val in zip(self.vertices, vals) if val == lo]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LatticePolytope)
-            and self.m == other.m
-            and set(self.vertices) == set(other.vertices)
-        )
+        return isinstance(other, LatticePolytope) and self.m == other.m and set(self.vertices) == set(other.vertices)
 
     def __repr__(self) -> str:
         return f"LatticePolytope({list(self.vertices)})"
 
 
 Facet = tuple[Point, Fraction, tuple[Point, ...]]  # (gradient, constant, cell vertices)
+Cell = tuple[IntPoint, int, tuple[IntPoint, ...]]  # the same over the stored denominators
 
 
 class ConcavePL:
@@ -258,19 +274,52 @@ class ConcavePL:
     its vertices, which is exactly a failure of strict concavity.
 
     Immutable: the domain (its vertices) and the full-dimensional linearity
-    cells (`Facet` triples) are fixed at construction and every query reads
-    them. In either dimension a full-dimensional domain carries its cells, and
-    the function is the minimum of their affine pieces; a point domain or a
-    segment in the plane has no cells.
+    cells are fixed at construction and every query reads them. In either
+    dimension a full-dimensional domain carries its cells, and the function
+    is the minimum of their affine pieces; a point domain or a segment in the
+    plane has no cells.
+
+    Stored in integers over two denominators `den` and `gden`: a vertex
+    (X, Z) has position X / den and value Z / den, and a cell (G, C, corners)
+    is the piece gden * Z = <G, X> + C on corners X, so its gradient is
+    G / gden and its constant C / (gden * den). `vertices`, `facets()`,
+    `cells()` and `domain_vertices()` give the same data in `Fraction`s.
     """
 
-    def __init__(self, m: int, vertices: Sequence[tuple[Point, Fraction]], had_collinear: bool, facets: tuple[Facet, ...] = ()):
+    def __init__(self, m: int, vertices: Sequence[tuple], had_collinear: bool, facets: Sequence[tuple] = (),
+                 *, den: int | None = None, gden: int = 1, domain: Sequence[IntPoint] | None = None):
+        """Exact (point, value) vertices and `Facet`s, or, given `den`, the stored
+        vertices and `Cell`s, with the domain when known (else the vertex hull)."""
+        if den is None:
+            den, lifted = _lift([(*p, z) for p, z in vertices])
+            vertices = [(q[:-1], q[-1]) for q in lifted]
+            gden = lcm(*(c.denominator for g, _, _ in facets for c in g))
+            facets = [
+                (tuple(int(c * gden) for c in g), int(c0 * gden * den), tuple(tuple(int(x * den) for x in q) for q in cell))
+                for g, c0, cell in facets
+            ]
         self.m = m
-        self.vertices = tuple(sorted(((tuple(p), Fraction(z)) for p, z in vertices)))
         self.had_collinear = had_collinear
-        self._facets = facets
-        positions = [p for p, _ in self.vertices]
-        self._domain = tuple(convex_hull_2d(positions) if m == 2 else sorted({positions[0], positions[-1]}))
+        self._den, self._gden = den, gden
+        self._pts: tuple[tuple[IntPoint, int], ...] = tuple(sorted(vertices))
+        self._cells: tuple[Cell, ...] = tuple(facets)
+        if domain is None:
+            positions = [p for p, _ in self._pts]
+            domain = _hull(positions) if m == 2 else sorted({positions[0], positions[-1]})
+        self._domain = tuple(domain)
+
+    def _exact(self, q: IntPoint) -> Point:
+        return tuple(Fraction(x, self._den) for x in q)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Point, Fraction], ...]:
+        """The graph vertices as sorted (point, value) pairs."""
+        return tuple((self._exact(p), Fraction(z, self._den)) for p, z in self._pts)
+
+    @cached_property
+    def _facets(self) -> tuple[Facet, ...]:
+        e, w = self._gden, self._den
+        return tuple((tuple(Fraction(g, e) for g in G), Fraction(C, e * w), tuple(map(self._exact, cell))) for G, C, cell in self._cells)
 
     @classmethod
     def from_graph_points(
@@ -301,36 +350,12 @@ class ConcavePL:
     def _envelope_1d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
         # Monotone upper-hull scan; the extreme positions always survive, so
         # this yields exactly the envelope vertices of a function graph.
-        pts = sorted(reps.items())
-        chain: list[tuple[Point, Fraction]] = []
-        collinear = False
-        for p, z in pts:
-            while len(chain) >= 2:
-                (p0, z0), (p1, z1) = chain[-2], chain[-1]
-                turn = _cross((p0[0], z0), (p1[0], z1), (p[0], z))
-                if turn > 0:
-                    chain.pop()
-                elif turn == 0:
-                    chain.pop()
-                    collinear = True
-                else:
-                    break
-            chain.append((p, z))
-        cells = []
-        for (qa, za), (qb, zb) in zip(chain, chain[1:]):
-            g = (zb - za) / (qb[0] - qa[0])
-            cells.append(((g,), za - g * qa[0], (qa, qb)))
-        return cls(1, chain, collinear, tuple(cells))
-
-    @classmethod
-    def _envelope_on_line(cls, reps: dict[Point, Fraction], q0: Point, q1: Point) -> "ConcavePL":
-        """The envelope of the points on the line through q0 and q1 (no cells)."""
-        d = (q1[0] - q0[0], q1[1] - q0[1])
-        dd = d[0] * d[0] + d[1] * d[1]
-        params = {(dot(d, (p[0] - q0[0], p[1] - q0[1])) / dd,): z for p, z in reps.items() if _cross(q0, q1, p) == 0}
-        inner = cls._envelope_1d(params)
-        verts = [((q0[0] + s * d[0], q0[1] + s * d[1]), z) for (s,), z in inner.vertices]
-        return cls(2, verts, inner.had_collinear)
+        den, lifted = _lift([(*p, z) for p, z in reps.items()])
+        chain, collinear = _upper_chain(sorted(lifted))
+        gden = lcm(*(xb - xa for (xa, _), (xb, _) in zip(chain, chain[1:])))
+        slopes = [(xa, za, (zb - za) * (gden // (xb - xa)), xb) for (xa, za), (xb, zb) in zip(chain, chain[1:])]
+        cells = [((g,), za * gden - g * xa, ((xa,), (xb,))) for xa, za, g, xb in slopes]
+        return cls(1, [((x,), z) for x, z in chain], collinear, cells, den=den, gden=gden)
 
     @classmethod
     def _envelope_2d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
@@ -341,83 +366,85 @@ class ConcavePL:
         lifted a and b above every point strictly left of the edge; its edges,
         reversed, lead on, and a reversed boundary edge has nothing on its
         left. The vertices are the cell corners; any other tight point lies
-        on the envelope without being a vertex.
+        on the envelope without being a vertex. A plane is kept as integers
+        (n1, n2, n0, d) in lowest terms, d > 0: d * Z = n1 * X + n2 * Y + n0.
         """
-        hull = convex_hull_2d(reps)
-        if len(hull) == 1:
-            return cls(2, [(hull[0], reps[hull[0]])], False)
-        if len(hull) == 2:
-            return cls._envelope_on_line(reps, *hull)
-        (a, _), (b, _) = cls._envelope_on_line(reps, hull[0], hull[1]).vertices[:2]
-        edges = [(a, b)]
-        facets: dict[tuple[Fraction, Fraction, Fraction], Facet] = {}
-        on_env: set[Point] = set()
+        den, lifted = _lift([(*p, z) for p, z in reps.items()])
+        ireps = {(x, y): z for x, y, z in lifted}
+        hull = _hull(ireps)
+        if len(hull) < 3:
+            line, collinear = _line_chain(ireps, hull[0], hull[-1])
+            return cls(2, [(p, ireps[p]) for p in line], collinear, den=den, domain=hull)
+        edges = [tuple(_line_chain(ireps, hull[0], hull[1])[0][:2])]
+        planes: dict[tuple[int, int, int, int], tuple[IntPoint, ...]] = {}
+        on_env: set[IntPoint] = set()
         while edges:
             a, b = edges.pop()
-            za, zb = reps[a], reps[b]
-            plane = None
-            for q, zq in reps.items():
-                d = _cross(a, b, q)
-                if d > 0 and (plane is None or plane[0] * q[0] + plane[1] * q[1] + plane[2] < zq):
-                    g1 = ((zb - za) * (q[1] - a[1]) - (zq - za) * (b[1] - a[1])) / d
-                    g2 = ((zq - za) * (b[0] - a[0]) - (zb - za) * (q[0] - a[0])) / d
-                    plane = (g1, g2, za - g1 * a[0] - g2 * a[1])
-            if plane is None or plane in facets:
+            za, dz = ireps[a], ireps[b] - ireps[a]
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            n1 = n2 = d = 0  # d = 0: no point left of a -> b yet
+            for q, zq in ireps.items():
+                qx, qy = q[0] - a[0], q[1] - a[1]
+                dq = ex * qy - ey * qx
+                if dq > 0 and (d == 0 or d * (zq - za) > n1 * qx + n2 * qy):
+                    n1, n2, d = dz * qy - (zq - za) * ey, (zq - za) * ex - dz * qx, dq
+            if d == 0:
                 continue
-            g1, g2, c = plane
-            tight = [p for p, z in reps.items() if g1 * p[0] + g2 * p[1] + c == z]
-            cell = convex_hull_2d(tight)
-            facets[plane] = ((g1, g2), c, tuple(cell))
+            n0 = za * d - n1 * a[0] - n2 * a[1]
+            k = gcd(n1, n2, n0, d)
+            plane = (n1 // k, n2 // k, n0 // k, d // k)
+            if plane in planes:
+                continue
+            n1, n2, n0, d = plane
+            tight = [p for p, z in ireps.items() if n1 * p[0] + n2 * p[1] + n0 == d * z]
+            planes[plane] = cell = tuple(_hull(tight))
             on_env.update(tight)
             edges.extend(zip(cell[1:] + cell[:1], cell))
-        corners = {p for _, _, cell in facets.values() for p in cell}
-        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(sorted(facets.values())))
+        gden = lcm(*(d for *_, d in planes))
+        cells = sorted(((n1 * gden // d, n2 * gden // d), n0 * gden // d, cell) for (n1, n2, n0, d), cell in planes.items())
+        corners = {p for cell in planes.values() for p in cell}
+        return cls(2, [(p, ireps[p]) for p in corners], on_env != corners, cells, den=den, gden=gden, domain=hull)
 
     # -- domain ----------------------------------------------------------
 
     def domain_vertices(self) -> list[Point]:
-        return list(self._domain)
+        return [self._exact(q) for q in self._domain]
 
-    def domain_dim(self) -> int:
-        return min(len(self._domain) - 1, self.m)
-
-    def domain_contains(self, u: Sequence[Fraction | int] | int) -> bool:
+    def _locate(self, u: Sequence[Fraction | int] | int) -> tuple[Point, IntPoint, int] | None:
+        """The point u with its numerators over their least denominator b,
+        when it lies in the domain; None when it does not."""
         p = make_point(u)
         if len(p) != self.m:
             raise ValueError(f"{u} is not a point of dimension {self.m}")
-        if self.m == 1:
-            return self._domain[0] <= p <= self._domain[-1]
-        return hull_contains(self._domain, p)
+        b, (q,) = _lift([p])
+        dom = self._domain if b == 1 else [tuple(b * x for x in c) for c in self._domain]
+        return (p, q, b) if _contains(dom, tuple(self._den * x for x in q)) else None
 
-    def domain_polytope(self) -> LatticePolytope:
-        dv = self._domain
-        if any(c.denominator != 1 for p in dv for c in p):
-            raise ValueError("domain is not a lattice polytope")
-        return LatticePolytope([tuple(int(c) for c in p) for p in dv])
+    def domain_contains(self, u: Sequence[Fraction | int] | int) -> bool:
+        return self._locate(u) is not None
 
     def domain_lattice_points(self) -> list[tuple[int, ...]]:
         """The integer points of the domain, in lexicographic order."""
-        lows = [rational_ceil(min(p[i] for p in self._domain)) for i in range(self.m)]
-        highs = [rational_floor(max(p[i] for p in self._domain)) for i in range(self.m)]
-        box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
-        return [u for u in box if self.domain_contains(u)]
+        return _lattice_points(self._domain, self._den)
 
     # -- evaluation ------------------------------------------------------
 
     def try_evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction | None:
-        p = make_point(u)
-        if not self.domain_contains(p):
+        hit = self._locate(u)
+        if hit is None:
             return None
-        if self._facets:
-            return min(sum(map(mul, g, p), c) for g, c, _ in self._facets)
+        p, q, b = hit
+        if self._cells:
+            # At q / b each piece is (den * <G, q> + b * C) / (gden * den * b).
+            w = self._den
+            return Fraction(min(w * sum(map(mul, G, q)) + b * C for G, C, _ in self._cells), self._gden * w * b)
         verts = self.vertices
         if len(verts) == 1:
             return verts[0][1]
-        for (qa, za), (qb, zb) in zip(verts, verts[1:]):
-            val = _interp_on_segment(qa, qb, za, zb, p)
-            if val is not None:
-                return val
-        raise AssertionError("unreachable: point inside segment domain")
+        # A segment in the plane: its vertices lie in order along it.
+        (qa, za), (qb, zb) = next(pair for pair in zip(verts, verts[1:]) if p <= pair[1][0])
+        axis = 0 if qa[0] != qb[0] else 1
+        return za + (zb - za) * (p[axis] - qa[axis]) / (qb[axis] - qa[axis])
 
     def evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction:
         val = self.try_evaluate(u)
@@ -436,19 +463,16 @@ class ConcavePL:
         return [(g, c) for g, c, _ in self._facets]
 
     def is_integral(self) -> bool:
-        return all(
-            all(c.denominator == 1 for c in p) and z.denominator == 1
-            for p, z in self.vertices
-        )
+        return all(x % self._den == 0 for p, z in self._pts for x in (*p, z))
 
     def affine_data(self) -> tuple[Point, Fraction] | None:
         """(gradient, constant) when the function is affine on its whole domain."""
-        if len(self._facets) == 1:
+        if len(self._cells) == 1:
             g, c, _ = self._facets[0]
             return g, c
-        if len(self.vertices) == 1:
+        if len(self._pts) == 1:
             return (Fraction(0),) * self.m, self.vertices[0][1]
-        if len(self.vertices) != 2:
+        if len(self._pts) != 2:
             return None
         # Two vertices and no cell: a segment in the plane.
         (q0, z0), (q1, z1) = self.vertices
@@ -462,42 +486,34 @@ class ConcavePL:
 
         Each cell is fanned into simplices from its first corner; an affine
         function integrates over a simplex to its volume, det / m! (which is
-        det / m for m <= 2), times its mean vertex value.
+        det / m for m <= 2), times its mean vertex value. In the stored
+        integers a simplex adds det * (<G, sum of corners> + (m + 1) C) over
+        m (m + 1) gden den^(m + 1).
         """
         m = self.m
-        total = Fraction(0)
-        for g, c, cell in self._facets:
+        total = 0
+        for G, C, cell in self._cells:
             for i in range(1, len(cell) - m + 1):
                 simplex = (cell[0],) + cell[i : i + m]
                 det = _cross(*simplex) if m == 2 else simplex[1][0] - simplex[0][0]
-                mean = sum(dot(g, q) for q in simplex) / (m + 1) + c
-                total += det * mean / m
-        return total
+                total += det * (sum(g * sum(q[j] for q in simplex) for j, g in enumerate(G)) + (m + 1) * C)
+        return Fraction(total, m * (m + 1) * self._gden * self._den ** (m + 1))
 
-    def shift(self, c: Fraction | int) -> "ConcavePL":
-        verts = [(p, z + c) for p, z in self.vertices]
-        facets = tuple((g, c0 + c, cell) for g, c0, cell in self._facets)
-        return ConcavePL(self.m, verts, self.had_collinear, facets)
+    def _times(self, k: int) -> tuple[list[tuple[IntPoint, int]], list[IntPoint]]:
+        """The stored vertices and domain with every numerator multiplied by k."""
+        pts = [(tuple(k * x for x in p), k * z) for p, z in self._pts]
+        return pts, [tuple(k * x for x in q) for q in self._domain]
 
     def scale(self, k: int) -> "ConcavePL":
         """u -> k f(u / k): the same gradients on cells scaled by k."""
         if k <= 0:
             raise ValueError("scaling factor must be positive")
-        verts = [(tuple(k * c for c in p), k * z) for p, z in self.vertices]
-        facets = tuple(
-            (g, k * c, tuple(tuple(k * x for x in q) for q in cell)) for g, c, cell in self._facets
-        )
-        return ConcavePL(self.m, verts, self.had_collinear, facets)
-
-    def min_vertex_value(self) -> Fraction:
-        return min(z for _, z in self.vertices)
+        pts, domain = self._times(k)
+        cells = [(G, k * C, tuple(tuple(k * x for x in q) for q in cell)) for G, C, cell in self._cells]
+        return ConcavePL(self.m, pts, self.had_collinear, cells, den=self._den, gden=self._gden, domain=domain)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConcavePL)
-            and self.m == other.m
-            and self.vertices == other.vertices
-        )
+        return isinstance(other, ConcavePL) and self.m == other.m and self.vertices == other.vertices
 
     def __repr__(self) -> str:
         pieces = ", ".join(f"{tuple(map(str, p))}: {z}" for p, z in self.vertices)
@@ -527,18 +543,6 @@ class SupportFunctionSlice:
     def dual(self) -> ConcavePL:
         return self._dual
 
-    def subdivision_vertices(self) -> list[tuple[Point, Fraction]]:
-        """Vertices v of the induced subdivision with their values min(v).
-
-        Each full-dimensional linearity cell of the dual, with affine data
-        z = <g, u> + c, contributes the subdivision vertex v = g at which
-        the slice takes the value -c.
-        """
-        out = {}
-        for g, c in self._dual.cells():
-            out[g] = -c
-        return sorted(out.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SupportFunctionSlice) and self.terms == other.terms
 
@@ -547,40 +551,41 @@ class SupportFunctionSlice:
         return f"SupportFunctionSlice[{pieces}]"
 
 
-def _top_face(f: ConcavePL, grad: Point) -> tuple[Fraction, list[tuple[Point, Fraction]]]:
-    """The maximum of z - <grad, p> over the vertices of f (m = 2), and the vertices attaining it."""
-    g0, g1 = grad
-    vals = [(z - g0 * p[0] - g1 * p[1], p, z) for p, z in f.vertices]
+def _top_face(pts: Sequence[tuple[IntPoint, int]], grad: tuple[int, int, int]) -> tuple[int, list[tuple[IntPoint, int]]]:
+    """The top face for the gradient γ = (n0, n1) / e, where z - <γ, p> is largest: the
+    maximum of e * Z - <(n0, n1), X> over stored vertices (X, Z), and the vertices attaining it."""
+    n0, n1, e = grad
+    vals = [(e * z - n0 * p[0] - n1 * p[1], p, z) for p, z in pts]
     top = max(v for v, _, _ in vals)
     return top, [(p, z) for v, p, z in vals if v == top]
 
 
-def _dual_edges(f: ConcavePL) -> list[tuple[Point, Point, bool]]:
+def _dual_edges(f: ConcavePL) -> list[tuple[IntPoint, IntPoint, bool]]:
     """The dual edge of each edge of f's cells: the gradients γ whose top
-    face (see `_top_face`) holds the edge, as base + t * direction. An inner
-    edge gives the segment between its two cells' gradients, t in [0, 1]; a
-    boundary edge the ray from its cell's gradient against the outer normal,
-    t >= 0."""
-    sides: dict[frozenset[Point], list[tuple[Point, Point, Point]]] = {}
-    for grad, _, cell in f.facets():
+    face (see `_top_face`) holds the edge, as base + t * direction, with
+    numerators over f's gradient denominator. An inner edge gives the
+    segment between its two cells' gradients, t in [0, 1]; a boundary edge
+    the ray from its cell's gradient against the outer normal, t >= 0."""
+    sides: dict[frozenset[IntPoint], list[tuple[IntPoint, IntPoint, IntPoint]]] = {}
+    for grad, _, cell in f._cells:
         for a, b in zip(cell, cell[1:] + cell[:1]):
             sides.setdefault(frozenset((a, b)), []).append((grad, a, b))
-    out = []
-    for (grad, a, b), *other in sides.values():
-        if other:
-            out.append((grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]), True))
-        else:
-            # The cell is counterclockwise, so its outer normal at a -> b is
-            # (b1 - a1, a0 - b0), and the ray runs against it.
-            out.append((grad, (a[1] - b[1], b[0] - a[0]), False))
-    return out
+    # A cell is counterclockwise, so its outer normal at a -> b is
+    # (b1 - a1, a0 - b0), and a boundary ray runs against it.
+    return [
+        (grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]) if other else (a[1] - b[1], b[0] - a[0]), bool(other))
+        for (grad, a, b), *other in sides.values()
+    ]
 
 
-def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[Point]:
-    """Gradients where a dual edge of f crosses a dual edge of g."""
+def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[tuple[int, int, int]]:
+    """Gradients, reduced as in `_reduced`, where a dual edge of f crosses a dual edge of g."""
     out = set()
-    edges_g = _dual_edges(g)
+    ef, eg = f._gden, g._gden
+    # Both sides over the gradient denominator ef * eg.
+    edges_g = [((b0 * ef, b1 * ef), (d0 * ef, d1 * ef), seg) for (b0, b1), (d0, d1), seg in _dual_edges(g)]
     for (bf0, bf1), (df0, df1), seg_f in _dual_edges(f):
+        bf0, bf1, df0, df1 = bf0 * eg, bf1 * eg, df0 * eg, df1 * eg
         for (bg0, bg1), (dg0, dg1), seg_g in edges_g:
             det = df0 * dg1 - df1 * dg0
             if det == 0:
@@ -593,8 +598,7 @@ def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[Point]:
             if det < 0:
                 det, s, t = -det, -s, -t
             if 0 <= s and 0 <= t and (s <= det or not seg_f) and (t <= det or not seg_g):
-                s /= det
-                out.add((bf0 + s * df0, bf1 + s * df1))
+                out.add(_reduced(bf0 * det + s * df0, bf1 * det + s * df1, ef * eg * det))
     return out
 
 
@@ -606,10 +610,10 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
     which z - <γ, p> is largest, so the cells are the mixed cells of the two
     subdivisions (Huber–Sturmfels), read off the cells of f and g: γ is a
     cell gradient of f or of g, or a point where a dual edge of f crosses
-    one of g. The envelope of the pairwise vertex sums builds the result
-    when a summand's domain is a segment in the plane, when both are points,
-    and in one variable, where that envelope's flag also counts a collinear
-    vertex sum that a later sum lifts off the result.
+    one of g. Its domain is the Minkowski sum of the two domains. The
+    envelope of the pairwise vertex sums builds the result when a summand's
+    domain is a segment in the plane, when both are points, and in one
+    variable.
 
     `had_collinear` is the flag of that envelope: in the plane, some vertex
     sum lies on the result without being a vertex of it. Parallel edges of
@@ -618,23 +622,29 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
     """
     if f.m != g.m:
         raise ValueError("mixed dimensions in sup-convolution")
-    sizes = {len(f.domain_vertices()), len(g.domain_vertices())}
+    sizes = {len(f._domain), len(g._domain)}
     if f.m == 1 or 2 in sizes or sizes == {1}:
         return ConcavePL.from_graph_points(
             (tuple(a + b for a, b in zip(p, q)), zf + zg) for p, zf in f.vertices for q, zg in g.vertices
         )
-    cells = []
-    tight: dict[Point, Fraction] = {}
-    for grad in {grad for grad, _ in f.cells() + g.cells()} | _dual_crossings(f, g):
-        top_f, face_f = _top_face(f, grad)
-        top_g, face_g = _top_face(g, grad)
+    den = lcm(f._den, g._den)
+    (pts_f, dom_f), (pts_g, dom_g) = f._times(den // f._den), g._times(den // g._den)
+    found = []
+    tight: dict[IntPoint, int] = {}
+    for grad in {_reduced(*G, h._gden) for h in (f, g) for G, _, _ in h._cells} | _dual_crossings(f, g):
+        top_f, face_f = _top_face(pts_f, grad)
+        top_g, face_g = _top_face(pts_g, grad)
         sums = {(p[0] + q[0], p[1] + q[1]): zf + zg for p, zf in face_f for q, zg in face_g}
-        cell = convex_hull_2d(sums)
+        cell = _hull(sums)
         if len(cell) >= 3:
-            cells.append((grad, top_f + top_g, tuple(cell)))
+            # e * Z = <n, X> + top_f + top_g on the cell.
+            found.append((grad, top_f + top_g, tuple(cell)))
             tight.update(sums)
+    gden = lcm(*(e for (_, _, e), _, _ in found))
+    cells = sorted(((n0 * gden // e, n1 * gden // e), top * gden // e, cell) for (n0, n1, e), top, cell in found)
     corners = {p for _, _, cell in cells for p in cell}
-    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, tuple(sorted(cells)))
+    domain = _minkowski(dom_f, dom_g)
+    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, cells, den=den, gden=gden, domain=domain)
 
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:
@@ -647,16 +657,8 @@ def signed_ceiling_interior_sum(f: ConcavePL) -> int:
     if f.m != 1:
         raise ValueError("interior counting is defined on intervals")
     dv = f.domain_vertices()
-    lo = rational_floor(dv[0][0]) + 1
-    hi = rational_ceil(dv[-1][0]) - 1
-    total = 0
-    for u in range(lo, hi + 1):
-        x = f.evaluate(u)
-        if x > 0:
-            total += rational_ceil(x)
-        elif x < 0:
-            total -= rational_ceil(-x)
-    return total
+    inner = range(rational_floor(dv[0][0]) + 1, rational_ceil(dv[-1][0]))
+    return sum(rational_ceil(x) if x > 0 else -rational_ceil(-x) for x in map(f.evaluate, inner))
 
 
 def toric_polytope(first: ConcavePL, second: ConcavePL) -> LatticePolytope:
@@ -664,10 +666,6 @@ def toric_polytope(first: ConcavePL, second: ConcavePL) -> LatticePolytope:
     negated graph of the second (both m = 1 with lattice graph vertices)."""
     if first.m != 1 or second.m != 1:
         raise ValueError("the toric model is built from two interval slices")
-    pts = []
-    for sign, pl in ((1, first), (-1, second)):
-        for p, z in pl.vertices:
-            if p[0].denominator != 1 or z.denominator != 1:
-                raise ValueError("graph vertices must be lattice points")
-            pts.append((int(p[0]), sign * int(z)))
-    return LatticePolytope(pts)
+    if not (first.is_integral() and second.is_integral()):
+        raise ValueError("graph vertices must be lattice points")
+    return LatticePolytope([(int(p[0]), sign * int(z)) for sign, pl in ((1, first), (-1, second)) for p, z in pl.vertices])

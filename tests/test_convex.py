@@ -19,7 +19,6 @@ from tcodes.convex import (
     Facet,
     Point,
     _cross,
-    _interp_on_segment,
     clip_segment,
     convex_hull_2d,
     floor_sum_over_lattice,
@@ -101,12 +100,64 @@ def test_envelope_1d():
     assert h.vertices == (((Fraction(0),), Fraction(0)), ((Fraction(2),), Fraction(0)))
 
 
+def test_envelope_1d_flag_ignores_points_a_later_point_lifts():
+    # The scan drops (1, 0) and (3, -4/3) as collinear with (-1, 4/3), but
+    # (5, 7/3) then lifts the envelope 5/3 and 10/3 above them.
+    f = ConcavePL.from_graph_points([(-1, Fraction(4, 3)), (1, 0), (3, Fraction(-4, 3)), (5, Fraction(7, 3))])
+    assert [p for p, _ in f.vertices] == [(-1,), (5,)]
+    assert f.evaluate(1) == Fraction(5, 3) and f.evaluate(3) == 2
+    assert not f.had_collinear
+
+
+def flag_by_definition(points, f):
+    """Whether some input point that is not a vertex of f lies on f."""
+    corners = {p for p, _ in f.vertices}
+    return any(p not in corners and f.evaluate(p) == z for p, z in graph_reps(points).items())
+
+
+def popped_collinear(points):
+    """The former flag: the upper-hull scan popped a collinear point."""
+    chain, popped = [], False
+    for (x,), z in sorted(graph_reps(points).items()):
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], (x, z)) >= 0:
+            popped |= _cross(chain[-2], chain[-1], (x, z)) == 0
+            chain.pop()
+        chain.append((x, z))
+    return popped
+
+
+def test_envelope_1d_flag_matches_its_definition():
+    rng = random.Random(1212)
+
+    def graph():
+        # Runs of points on one line, then points above or below it.
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        xs = sorted(rng.sample(range(-6, 7), rng.randint(1, 7)))
+        return [((x,), a * x + b if rng.random() < 0.6 else a * x + b + Fraction(rng.randint(-3, 3), 3)) for x in xs]
+
+    fixed = 0
+    for _ in range(1500):
+        pts = graph()
+        f = ConcavePL.from_graph_points(pts)
+        assert f.had_collinear == flag_by_definition(pts, f), pts
+        fixed += popped_collinear(pts) and not f.had_collinear
+    pool = [ConcavePL.from_graph_points(graph()) for _ in range(40)]
+    for _ in range(1500):
+        f, g = rng.choice(pool), rng.choice(pool)
+        sums = [((p[0] + q[0],), zf + zg) for p, zf in f.vertices for q, zg in g.vertices]
+        h = sup_convolution(f, g)
+        assert h.had_collinear == flag_by_definition(sums, h), (f, g)
+        fixed += popped_collinear(sums) and not h.had_collinear
+    # Inputs where the former flag was set though no point stays on the envelope.
+    assert fixed >= 20
+
+
 def test_envelope_2d():
     f = ConcavePL.from_graph_points([(v, min(0, v[1])) for v in HEXAGON_VERTICES] + [((0, 0), 0)])
     assert f.evaluate((0, 0)) == 0
     assert f.evaluate((Fraction(1, 2), Fraction(-1, 2))) == Fraction(-1, 2)
     assert f.evaluate((Fraction(1, 2), Fraction(1, 2))) == 0
-    assert f.domain_polytope() == hexagon()
+    assert set(f.domain_vertices()) == set(hexagon().vertex_points())
     assert f.try_evaluate((2, 2)) is None
     assert sorted(f.domain_lattice_points()) == sorted(hexagon().lattice_points())
     grid = [(x, y) for x in range(3) for y in range(3)]
@@ -121,6 +172,21 @@ def test_envelope_2d():
     ridge = ConcavePL.from_graph_points(fold + [((1, 1), 1)])
     assert ridge.vertices == roof.vertices and ridge.facets() == roof.facets()
     assert ridge.had_collinear
+
+
+def _interp_on_segment(q, r, zq, zr, p):
+    """The value at p interpolated between (q, zq) and (r, zr), None when p
+    is off the segment from q to r (the former library helper)."""
+    d = tuple(rc - qc for rc, qc in zip(r, q))
+    axis = next((i for i, c in enumerate(d) if c != 0), None)
+    if axis is None:
+        return None
+    lam = (p[axis] - q[axis]) / d[axis]
+    if not 0 <= lam <= 1:
+        return None
+    if any(q[i] + lam * d[i] != p[i] for i in range(len(p))):
+        return None
+    return (1 - lam) * zq + lam * zr
 
 
 def reference_envelope_2d(points):
@@ -379,8 +445,10 @@ def test_duality_round_trip_frozen():
 
 
 def test_subdivision_vertices():
+    # Each cell z = <g, u> + c of the dual gives the subdivision vertex v = g,
+    # where the slice takes the value -c.
     s = SupportFunctionSlice(S2_GRAPH)
-    got = s.subdivision_vertices()
+    got = sorted((g, -c) for g, c in s.dual().cells())
     assert got == [((Fraction(-2),), Fraction(-7)), ((Fraction(-1),), Fraction(-4)), ((Fraction(1),), Fraction(0))]
     for v, z in got:
         assert s.value(v) == z
@@ -602,14 +670,17 @@ def test_concave_pl_matches_reference_queries():
     kinds = {}
     inside = outside = 0
     for _ in range(500):
-        base = ConcavePL.from_graph_points(next(graphs))
+        graph = next(graphs)
+        base = ConcavePL.from_graph_points(graph)
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        for f in (base, base.shift(c), base.scale(2), base.scale(2).shift(c)):
+        shifted = ConcavePL.from_graph_points([(p, z + c) for p, z in graph])
+        scaled_shifted = ConcavePL.from_graph_points([(p, z + c) for p, z in base.scale(2).vertices])
+        for f in (base, shifted, base.scale(2), scaled_shifted):
             # For f = base.scale(2) this asserts f.facets() ==
             # ConcavePL.from_graph_points(f.vertices).facets().
             dv, facets = reference_domain(f), reference_facets(f)
             assert f.facets() == facets, f
-            assert (f.domain_vertices(), f.domain_dim()) == (dv, reference_domain_dim(f, dv))
+            assert f.domain_vertices() == dv
             assert f.affine_data() == reference_affine_data(f, dv, facets), f
             assert f.integral() == reference_integral(f, dv, facets), f
             lattice = reference_lattice_points(f, dv)
@@ -619,7 +690,7 @@ def test_concave_pl_matches_reference_queries():
                 assert f.try_evaluate(p) == want, (f, p)
                 inside += want is not None
                 outside += want is None
-        key = (base.m, base.domain_dim(), base.had_collinear)
+        key = (base.m, reference_domain_dim(base, base.domain_vertices()), base.had_collinear)
         kinds[key] = kinds.get(key, 0) + 1
     # Every shape of domain, with and without collinear input where it can occur.
     assert set(kinds) >= {(1, 0, False), (1, 1, False), (1, 1, True), (2, 0, False), (2, 1, False), (2, 1, True), (2, 2, False), (2, 2, True)}
@@ -687,7 +758,7 @@ def test_sup_convolution_with_point_and_segment_domains():
     while min(len(by_shape.get(k, [])) for k in ((2, 0), (2, 1), (2, 2))) < 12:
         f = ConcavePL.from_graph_points(next(graphs))
         if f.m == 2:
-            by_shape.setdefault((2, f.domain_dim()), []).append(f)
+            by_shape.setdefault((2, reference_domain_dim(f, f.domain_vertices())), []).append(f)
     points, segments, polygons = by_shape[(2, 0)], by_shape[(2, 1)], by_shape[(2, 2)]
     for _ in range(40):
         # One-vertex summands on either side, and two point domains.
@@ -728,7 +799,7 @@ def test_sup_convolution_matches_reference_on_random_1d_pairs():
         f = ConcavePL.from_graph_points(next(graphs))
         if f.m == 1:
             pool.append(f)
-    assert {f.domain_dim() for f in pool} == {0, 1}
+    assert {len(f.domain_vertices()) for f in pool} == {1, 2}
     for _ in range(400):
         assert_sup_matches_reference(rng.choice(pool), rng.choice(pool))
     with pytest.raises(ValueError):

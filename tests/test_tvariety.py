@@ -51,7 +51,8 @@ def one_slice_dp(graph, curve=None, point=None) -> DivisorialPolytope:
     curve = curve or E7
     point = point or Q1
     s = ConcavePL.from_graph_points(graph)
-    lo, hi = s.domain_polytope().bounds()
+    dv = s.domain_vertices()
+    lo, hi = int(dv[0][0]), int(dv[-1][0])
     return DivisorialPolytope(curve, LatticePolytope.interval(lo, hi), {point: s})
 
 
