@@ -103,6 +103,7 @@ def _lattice_points(hull: Sequence[IntPoint], den: int = 1) -> list[tuple[int, .
 
 
 def hull_contains(hull: Sequence[Point], p: Point) -> bool:
+    """Whether p lies in a hull as `convex_hull_2d` returns it."""
     _, pts = _lift([*hull, p])
     return _contains(pts[:-1], pts[-1])
 
