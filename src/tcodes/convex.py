@@ -37,7 +37,9 @@ def dot(u: Point, v: Point) -> Fraction:
 
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v)
+    g = 0
+    for c in v:
+        g = gcd(g, c)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(c // g for c in v)
@@ -84,7 +86,12 @@ def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
 
 def polygon_area2(hull: Sequence[Point]) -> Fraction:
     """Twice the signed area (positive for counterclockwise order)."""
-    return sum((a[0] * b[1] - b[0] * a[1] for a, b in zip(hull, [*hull[1:], *hull[:1]])), Fraction(0))
+    total = Fraction(0)
+    for i in range(len(hull)):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % len(hull)]
+        total += x1 * y2 - x2 * y1
+    return total
 
 
 def _contains(hull: Sequence[IntPoint], p: IntPoint) -> bool:
@@ -195,7 +202,8 @@ class LatticePolytope:
         if m not in (1, 2) or any(len(v) != m for v in vtx):
             raise ValueError("polytopes are supported in dimensions 1 and 2")
         self.m = m
-        self.vertices: tuple[tuple[int, ...], ...] = tuple(_hull(vtx) if m == 2 else sorted({min(vtx), max(vtx)}))
+        hull = _hull(vtx) if m == 2 else sorted({min(vtx), max(vtx)})
+        self.vertices: tuple[tuple[int, ...], ...] = tuple(hull)
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "LatticePolytope":
@@ -229,10 +237,17 @@ class LatticePolytope:
         return hi - lo
 
     def is_full_dimensional(self) -> bool:
-        return len(self.vertices) > self.m
+        if self.m == 1:
+            return len(self.vertices) == 2
+        return len(self.vertices) >= 3
 
     def minkowski(self, other: "LatticePolytope") -> "LatticePolytope":
-        return LatticePolytope([tuple(a + b for a, b in zip(v, w)) for v in self.vertices for w in other.vertices])
+        sums = [
+            tuple(a + b for a, b in zip(v, w))
+            for v in self.vertices
+            for w in other.vertices
+        ]
+        return LatticePolytope(sums)
 
     def scale(self, k: int) -> "LatticePolytope":
         if k < 0:
@@ -247,8 +262,13 @@ class LatticePolytope:
             raise ValueError("normal-fan rays need a full-dimensional polytope")
         if self.m == 1:
             return [(-1,), (1,)]
-        v = self.vertices
-        return sorted(primitive_vector((b[1] - a[1], a[0] - b[0])) for a, b in zip(v, v[1:] + v[:1]))
+        out = []
+        n = len(self.vertices)
+        for i in range(n):
+            a, b = self.vertices[i], self.vertices[(i + 1) % n]
+            d = (b[0] - a[0], b[1] - a[1])
+            out.append(primitive_vector((d[1], -d[0])))
+        return sorted(out)
 
     def min_face_vertices(self, n: Sequence[int]) -> list[tuple[int, ...]]:
         """Vertices minimizing the pairing with n."""
@@ -257,7 +277,11 @@ class LatticePolytope:
         return [v for v, val in zip(self.vertices, vals) if val == lo]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LatticePolytope) and self.m == other.m and set(self.vertices) == set(other.vertices)
+        return (
+            isinstance(other, LatticePolytope)
+            and self.m == other.m
+            and set(self.vertices) == set(other.vertices)
+        )
 
     def __repr__(self) -> str:
         return f"LatticePolytope({list(self.vertices)})"
@@ -287,26 +311,14 @@ class ConcavePL:
     `cells()` and `domain_vertices()` give the same data in `Fraction`s.
     """
 
-    def __init__(self, m: int, vertices: Sequence[tuple], had_collinear: bool, facets: Sequence[tuple] = (),
-                 *, den: int | None = None, gden: int = 1, domain: Sequence[IntPoint] | None = None):
-        """Exact (point, value) vertices and `Facet`s, or, given `den`, the stored
-        vertices and `Cell`s, with the domain when known (else the vertex hull)."""
-        if den is None:
-            den, lifted = _lift([(*p, z) for p, z in vertices])
-            vertices = [(q[:-1], q[-1]) for q in lifted]
-            gden = lcm(*(c.denominator for g, _, _ in facets for c in g))
-            facets = [
-                (tuple(int(c * gden) for c in g), int(c0 * gden * den), tuple(tuple(int(x * den) for x in q) for q in cell))
-                for g, c0, cell in facets
-            ]
+    def __init__(self, m: int, vertices: Sequence[tuple[IntPoint, int]], had_collinear: bool,
+                 cells: Sequence[Cell], domain: Sequence[IntPoint], den: int, gden: int = 1):
+        """The stored vertices, `Cell`s and domain vertices, over `den` and `gden`."""
         self.m = m
         self.had_collinear = had_collinear
         self._den, self._gden = den, gden
         self._pts: tuple[tuple[IntPoint, int], ...] = tuple(sorted(vertices))
-        self._cells: tuple[Cell, ...] = tuple(facets)
-        if domain is None:
-            positions = [p for p, _ in self._pts]
-            domain = _hull(positions) if m == 2 else sorted({positions[0], positions[-1]})
+        self._cells: tuple[Cell, ...] = tuple(cells)
         self._domain = tuple(domain)
 
     def _exact(self, q: IntPoint) -> Point:
@@ -320,7 +332,10 @@ class ConcavePL:
     @cached_property
     def _facets(self) -> tuple[Facet, ...]:
         e, w = self._gden, self._den
-        return tuple((tuple(Fraction(g, e) for g in G), Fraction(C, e * w), tuple(map(self._exact, cell))) for G, C, cell in self._cells)
+        return tuple(
+            (tuple(Fraction(g, e) for g in G), Fraction(C, e * w), tuple(map(self._exact, cell)))
+            for G, C, cell in self._cells
+        )
 
     @classmethod
     def from_graph_points(
@@ -353,10 +368,14 @@ class ConcavePL:
         # this yields exactly the envelope vertices of a function graph.
         den, lifted = _lift([(*p, z) for p, z in reps.items()])
         chain, collinear = _upper_chain(sorted(lifted))
-        gden = lcm(*(xb - xa for (xa, _), (xb, _) in zip(chain, chain[1:])))
-        slopes = [(xa, za, (zb - za) * (gden // (xb - xa)), xb) for (xa, za), (xb, zb) in zip(chain, chain[1:])]
-        cells = [((g,), za * gden - g * xa, ((xa,), (xb,))) for xa, za, g, xb in slopes]
-        return cls(1, [((x,), z) for x, z in chain], collinear, cells, den=den, gden=gden)
+        edges = list(zip(chain, chain[1:]))
+        gden = lcm(*(xb - xa for (xa, _), (xb, _) in edges))
+        cells = []
+        for (xa, za), (xb, zb) in edges:
+            g = (zb - za) * (gden // (xb - xa))
+            cells.append(((g,), za * gden - g * xa, ((xa,), (xb,))))
+        domain = sorted({(chain[0][0],), (chain[-1][0],)})
+        return cls(1, [((x,), z) for x, z in chain], collinear, cells, domain, den, gden)
 
     @classmethod
     def _envelope_2d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
@@ -375,7 +394,7 @@ class ConcavePL:
         hull = _hull(ireps)
         if len(hull) < 3:
             line, collinear = _line_chain(ireps, hull[0], hull[-1])
-            return cls(2, [(p, ireps[p]) for p in line], collinear, den=den, domain=hull)
+            return cls(2, [(p, ireps[p]) for p in line], collinear, (), hull, den)
         edges = [tuple(_line_chain(ireps, hull[0], hull[1])[0][:2])]
         planes: dict[tuple[int, int, int, int], tuple[IntPoint, ...]] = {}
         on_env: set[IntPoint] = set()
@@ -402,9 +421,11 @@ class ConcavePL:
             on_env.update(tight)
             edges.extend(zip(cell[1:] + cell[:1], cell))
         gden = lcm(*(d for *_, d in planes))
-        cells = sorted(((n1 * gden // d, n2 * gden // d), n0 * gden // d, cell) for (n1, n2, n0, d), cell in planes.items())
+        cells = sorted(
+            ((n1 * gden // d, n2 * gden // d), n0 * gden // d, cell) for (n1, n2, n0, d), cell in planes.items()
+        )
         corners = {p for cell in planes.values() for p in cell}
-        return cls(2, [(p, ireps[p]) for p in corners], on_env != corners, cells, den=den, gden=gden, domain=hull)
+        return cls(2, [(p, ireps[p]) for p in corners], on_env != corners, cells, hull, den, gden)
 
     # -- domain ----------------------------------------------------------
 
@@ -438,7 +459,8 @@ class ConcavePL:
         if self._cells:
             # At q / b each piece is (den * <G, q> + b * C) / (gden * den * b).
             w = self._den
-            return Fraction(min(w * sum(map(mul, G, q)) + b * C for G, C, _ in self._cells), self._gden * w * b)
+            top = min(w * sum(map(mul, G, q)) + b * C for G, C, _ in self._cells)
+            return Fraction(top, self._gden * w * b)
         verts = self.vertices
         if len(verts) == 1:
             return verts[0][1]
@@ -511,10 +533,14 @@ class ConcavePL:
             raise ValueError("scaling factor must be positive")
         pts, domain = self._times(k)
         cells = [(G, k * C, tuple(tuple(k * x for x in q) for q in cell)) for G, C, cell in self._cells]
-        return ConcavePL(self.m, pts, self.had_collinear, cells, den=self._den, gden=self._gden, domain=domain)
+        return ConcavePL(self.m, pts, self.had_collinear, cells, domain, self._den, self._gden)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConcavePL) and self.m == other.m and self.vertices == other.vertices
+        return (
+            isinstance(other, ConcavePL)
+            and self.m == other.m
+            and self.vertices == other.vertices
+        )
 
     def __repr__(self) -> str:
         pieces = ", ".join(f"{tuple(map(str, p))}: {z}" for p, z in self.vertices)
@@ -552,9 +578,12 @@ class SupportFunctionSlice:
         return f"SupportFunctionSlice[{pieces}]"
 
 
-def _top_face(pts: Sequence[tuple[IntPoint, int]], grad: tuple[int, int, int]) -> tuple[int, list[tuple[IntPoint, int]]]:
-    """The top face for the gradient γ = (n0, n1) / e, where z - <γ, p> is largest: the
-    maximum of e * Z - <(n0, n1), X> over stored vertices (X, Z), and the vertices attaining it."""
+def _top_face(
+    pts: Sequence[tuple[IntPoint, int]], grad: tuple[int, int, int]
+) -> tuple[int, list[tuple[IntPoint, int]]]:
+    """The top face for the gradient γ = (n0, n1) / e, where z - <γ, p> is
+    largest: the maximum of e * Z - <(n0, n1), X> over stored vertices
+    (X, Z), and the vertices attaining it."""
     n0, n1, e = grad
     vals = [(e * z - n0 * p[0] - n1 * p[1], p, z) for p, z in pts]
     top = max(v for v, _, _ in vals)
@@ -571,12 +600,15 @@ def _dual_edges(f: ConcavePL) -> list[tuple[IntPoint, IntPoint, bool]]:
     for grad, _, cell in f._cells:
         for a, b in zip(cell, cell[1:] + cell[:1]):
             sides.setdefault(frozenset((a, b)), []).append((grad, a, b))
-    # A cell is counterclockwise, so its outer normal at a -> b is
-    # (b1 - a1, a0 - b0), and a boundary ray runs against it.
-    return [
-        (grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]) if other else (a[1] - b[1], b[0] - a[0]), bool(other))
-        for (grad, a, b), *other in sides.values()
-    ]
+    out = []
+    for (grad, a, b), *other in sides.values():
+        if other:
+            out.append((grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]), True))
+        else:
+            # The cell is counterclockwise, so its outer normal at a -> b is
+            # (b1 - a1, a0 - b0), and the ray runs against it.
+            out.append((grad, (a[1] - b[1], b[0] - a[0]), False))
+    return out
 
 
 def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[tuple[int, int, int]]:
@@ -642,10 +674,12 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
             found.append((grad, top_f + top_g, tuple(cell)))
             tight.update(sums)
     gden = lcm(*(e for (_, _, e), _, _ in found))
-    cells = sorted(((n0 * gden // e, n1 * gden // e), top * gden // e, cell) for (n0, n1, e), top, cell in found)
+    cells = sorted(
+        ((n0 * gden // e, n1 * gden // e), top * gden // e, cell) for (n0, n1, e), top, cell in found
+    )
     corners = {p for _, _, cell in cells for p in cell}
     domain = _minkowski(dom_f, dom_g)
-    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, cells, den=den, gden=gden, domain=domain)
+    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, cells, domain, den, gden)
 
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:
@@ -658,8 +692,16 @@ def signed_ceiling_interior_sum(f: ConcavePL) -> int:
     if f.m != 1:
         raise ValueError("interior counting is defined on intervals")
     dv = f.domain_vertices()
-    inner = range(rational_floor(dv[0][0]) + 1, rational_ceil(dv[-1][0]))
-    return sum(rational_ceil(x) if x > 0 else -rational_ceil(-x) for x in map(f.evaluate, inner))
+    lo = rational_floor(dv[0][0]) + 1
+    hi = rational_ceil(dv[-1][0]) - 1
+    total = 0
+    for u in range(lo, hi + 1):
+        x = f.evaluate(u)
+        if x > 0:
+            total += rational_ceil(x)
+        elif x < 0:
+            total -= rational_ceil(-x)
+    return total
 
 
 def toric_polytope(first: ConcavePL, second: ConcavePL) -> LatticePolytope:
@@ -667,6 +709,10 @@ def toric_polytope(first: ConcavePL, second: ConcavePL) -> LatticePolytope:
     negated graph of the second (both m = 1 with lattice graph vertices)."""
     if first.m != 1 or second.m != 1:
         raise ValueError("the toric model is built from two interval slices")
-    if not (first.is_integral() and second.is_integral()):
-        raise ValueError("graph vertices must be lattice points")
-    return LatticePolytope([(int(p[0]), sign * int(z)) for sign, pl in ((1, first), (-1, second)) for p, z in pl.vertices])
+    pts = []
+    for sign, pl in ((1, first), (-1, second)):
+        for p, z in pl.vertices:
+            if p[0].denominator != 1 or z.denominator != 1:
+                raise ValueError("graph vertices must be lattice points")
+            pts.append((int(p[0]), sign * int(z)))
+    return LatticePolytope(pts)

@@ -103,9 +103,16 @@ def test_envelope_1d():
 def test_envelope_1d_flag_ignores_points_a_later_point_lifts():
     # The scan drops (1, 0) and (3, -4/3) as collinear with (-1, 4/3), but
     # (5, 7/3) then lifts the envelope 5/3 and 10/3 above them.
-    f = ConcavePL.from_graph_points([(-1, Fraction(4, 3)), (1, 0), (3, Fraction(-4, 3)), (5, Fraction(7, 3))])
+    graph = [(-1, Fraction(4, 3)), (1, 0), (3, Fraction(-4, 3)), (5, Fraction(7, 3))]
+    f = ConcavePL.from_graph_points(graph)
     assert [p for p, _ in f.vertices] == [(-1,), (5,)]
     assert f.evaluate(1) == Fraction(5, 3) and f.evaluate(3) == 2
+    assert not f.had_collinear
+    # The same graph along the line y = 2x + 1: a segment domain in the plane
+    # is enveloped by the same scan, and its flag follows the same rule.
+    f = ConcavePL.from_graph_points([((x, 2 * x + 1), z) for x, z in graph])
+    assert [p for p, _ in f.vertices] == [(-1, -1), (5, 11)] and f.facets() == ()
+    assert f.evaluate((1, 3)) == Fraction(5, 3) and f.evaluate((3, 7)) == 2
     assert not f.had_collinear
 
 
@@ -288,14 +295,14 @@ def test_envelope_2d_matches_reference_classifier():
     assert 20 <= collinear <= 100
 
 
-def reference_plane_search_envelope(reps: dict[Point, Fraction]) -> ConcavePL:
-    """The former 2D envelope, verbatim: every triple of points spans a
-    candidate plane, kept when no point lies above it (O(n^4))."""
-    cls = ConcavePL
+def reference_plane_search_envelope(reps: dict[Point, Fraction]):
+    """The former 2D envelope: every triple of points spans a candidate
+    plane, kept when no point lies above it (O(n^4)). Returns (sorted
+    vertices, had_collinear, facets)."""
     positions = list(reps)
     hull = convex_hull_2d(positions)
     if len(hull) == 1:
-        return cls(2, [(hull[0], reps[hull[0]])], False)
+        return ((hull[0], reps[hull[0]]),), False, ()
     if len(hull) == 2:
         q0, q1 = hull
         d = (q1[0] - q0[0], q1[1] - q0[1])
@@ -306,9 +313,9 @@ def reference_plane_search_envelope(reps: dict[Point, Fraction]) -> ConcavePL:
             sp = (Fraction(s),)
             if sp not in params or params[sp] < z:
                 params[sp] = z
-        inner = cls._envelope_1d(params)
+        inner = ConcavePL._envelope_1d(params)
         verts = [((q0[0] + s[0] * d[0], q0[1] + s[0] * d[1]), z) for s, z in inner.vertices]
-        return cls(2, verts, inner.had_collinear)
+        return tuple(sorted(verts)), inner.had_collinear, ()
     items = list(reps.items())
     n = len(items)
     planes: set[tuple[Fraction, Fraction, Fraction]] = set()
@@ -340,7 +347,7 @@ def reference_plane_search_envelope(reps: dict[Point, Fraction]) -> ConcavePL:
             on_env.update(tight)
             corners.update(cell)
     assert facets, "full-dimensional hull must have at least one upper facet"
-    return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(facets))
+    return tuple(sorted((p, reps[p]) for p in corners)), on_env != corners, tuple(facets)
 
 
 def graph_reps(points):
@@ -392,8 +399,7 @@ def test_envelope_2d_matches_plane_search():
     for pts in wrap_oracle_sets(rng):
         reps = graph_reps(pts)
         f = ConcavePL.from_graph_points(pts)
-        want = reference_plane_search_envelope(reps)
-        assert (f.vertices, f.had_collinear, f.facets()) == (want.vertices, want.had_collinear, want.facets()), pts
+        assert (f.vertices, f.had_collinear, f.facets()) == reference_plane_search_envelope(reps), pts
         hull = convex_hull_2d(reps)
         if len(hull) == 2:
             segments += 1

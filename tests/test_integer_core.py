@@ -1,20 +1,34 @@
-"""The integer-coordinate convex core against the former `Fraction` code.
+"""The integer-coordinate convex core on inputs that stress it.
 
-`FractionPL` and `fraction_sup_convolution` below are the former
-`ConcavePL` construction, queries and sup-convolution, computed in
-`Fraction` throughout and kept here as an oracle. One change: the 1D
-envelope flag follows the class contract (some input point that is not a
-vertex lies on the envelope), as the library's does now.
+Mixed denominators (1/3 with 1/7 and 1/21), numerators near 10^12 and
+negative coordinates, on point, segment, collinear and polygon inputs in
+both dimensions. The oracles compute in `Fraction`: the former hull,
+containment and clipping below, and the plane search, reference queries
+and pairwise-sum sup-convolution of `tests/test_convex.py`.
 """
 
 import random
 from fractions import Fraction
 
-from tcodes import ConcavePL, sup_convolution
+from tcodes import ConcavePL
 from tcodes.convex import clip_segment, convex_hull_2d, hull_contains, make_point
 
+from test_convex import (
+    assert_sup_matches_reference,
+    crossed,
+    flag_by_definition,
+    graph_reps,
+    reference_domain,
+    reference_facets,
+    reference_integral,
+    reference_plane_search_envelope,
+    reference_try_evaluate,
+)
 
-def _cross(o, a, b):
+
+def orientation(o, a, b):
+    """The oracles' own cross product, so that a fault in the library's
+    `_cross` cannot reach them."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -24,12 +38,12 @@ def fraction_hull(points):
         return pts
     lower = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -43,10 +57,10 @@ def fraction_hull_contains(hull, p):
         return hull[0] == p
     if len(hull) == 2:
         a, b = hull
-        if _cross(a, b, p) != 0:
+        if orientation(a, b, p) != 0:
             return False
         return all(min(a[i], b[i]) <= p[i] <= max(a[i], b[i]) for i in range(2))
-    return all(_cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull)))
+    return all(orientation(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull)))
 
 
 def fraction_clip_segment(hull, q0, q1):
@@ -54,7 +68,7 @@ def fraction_clip_segment(hull, q0, q1):
     d = (q1[0] - q0[0], q1[1] - q0[1])
     for i in range(len(hull)):
         a, b = hull[i], hull[(i + 1) % len(hull)]
-        base = _cross(a, b, q0)
+        base = orientation(a, b, q0)
         slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
         if slope == 0:
             if base < 0:
@@ -68,192 +82,27 @@ def fraction_clip_segment(hull, q0, q1):
     return tmin, tmax
 
 
-def interp_on_segment(q, r, zq, zr, p):
-    d = tuple(rc - qc for rc, qc in zip(r, q))
-    axis = next((i for i, c in enumerate(d) if c != 0), None)
-    if axis is None:
-        return None
-    lam = (p[axis] - q[axis]) / d[axis]
-    if not 0 <= lam <= 1:
-        return None
-    if any(q[i] + lam * d[i] != p[i] for i in range(len(p))):
-        return None
-    return (1 - lam) * zq + lam * zr
+def assert_envelope_1d(f, points):
+    """f is the upper concave envelope of points: its vertices are input
+    points, no input point lies above it, its slopes fall strictly, and its
+    flag follows the class contract."""
+    reps = graph_reps(points)
+    assert all(reps[p] == z for p, z in f.vertices), points
+    assert all(f.evaluate(p) >= z for p, z in reps.items()), points
+    slopes = [g for (g,), _ in f.cells()]
+    assert all(a > b for a, b in zip(slopes, slopes[1:])), points
+    assert f.had_collinear == flag_by_definition(points, f), points
 
 
-class FractionPL:
-    def __init__(self, m, vertices, had_collinear, facets=()):
-        self.m = m
-        self.vertices = tuple(sorted((tuple(p), Fraction(z)) for p, z in vertices))
-        self.had_collinear = had_collinear
-        self.facets = facets
-        positions = [p for p, _ in self.vertices]
-        self.domain = fraction_hull(positions) if m == 2 else sorted({positions[0], positions[-1]})
-
-    @classmethod
-    def from_graph_points(cls, points):
-        reps = {}
-        for pos, val in points:
-            p, z = make_point(pos), Fraction(val)
-            if p not in reps or reps[p] < z:
-                reps[p] = z
-        return cls.envelope_1d(reps) if len(next(iter(reps))) == 1 else cls.envelope_2d(reps)
-
-    @classmethod
-    def envelope_1d(cls, reps):
-        pts = sorted(reps.items())
-        chain = []
-        for p, z in pts:
-            while len(chain) >= 2:
-                (p0, z0), (p1, z1) = chain[-2], chain[-1]
-                if _cross((p0[0], z0), (p1[0], z1), (p[0], z)) >= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append((p, z))
-        cells = []
-        for (qa, za), (qb, zb) in zip(chain, chain[1:]):
-            g = (zb - za) / (qb[0] - qa[0])
-            cells.append(((g,), za - g * qa[0], (qa, qb)))
-        corners = {p for p, _ in chain}
-        on_env = any(p not in corners and min(g[0] * p[0] + c for g, c, _ in cells) == z for p, z in pts)
-        return cls(1, chain, on_env, tuple(cells))
-
-    @classmethod
-    def envelope_on_line(cls, reps, q0, q1):
-        d = (q1[0] - q0[0], q1[1] - q0[1])
-        dd = d[0] * d[0] + d[1] * d[1]
-        params = {
-            ((d[0] * (p[0] - q0[0]) + d[1] * (p[1] - q0[1])) / dd,): z for p, z in reps.items() if _cross(q0, q1, p) == 0
-        }
-        inner = cls.envelope_1d(params)
-        verts = [((q0[0] + s * d[0], q0[1] + s * d[1]), z) for (s,), z in inner.vertices]
-        return cls(2, verts, inner.had_collinear)
-
-    @classmethod
-    def envelope_2d(cls, reps):
-        hull = fraction_hull(reps)
-        if len(hull) == 1:
-            return cls(2, [(hull[0], reps[hull[0]])], False)
-        if len(hull) == 2:
-            return cls.envelope_on_line(reps, *hull)
-        (a, _), (b, _) = cls.envelope_on_line(reps, hull[0], hull[1]).vertices[:2]
-        edges = [(a, b)]
-        facets = {}
-        on_env = set()
-        while edges:
-            a, b = edges.pop()
-            za, zb = reps[a], reps[b]
-            plane = None
-            for q, zq in reps.items():
-                d = _cross(a, b, q)
-                if d > 0 and (plane is None or plane[0] * q[0] + plane[1] * q[1] + plane[2] < zq):
-                    g1 = ((zb - za) * (q[1] - a[1]) - (zq - za) * (b[1] - a[1])) / d
-                    g2 = ((zq - za) * (b[0] - a[0]) - (zb - za) * (q[0] - a[0])) / d
-                    plane = (g1, g2, za - g1 * a[0] - g2 * a[1])
-            if plane is None or plane in facets:
-                continue
-            g1, g2, c = plane
-            tight = [p for p, z in reps.items() if g1 * p[0] + g2 * p[1] + c == z]
-            cell = fraction_hull(tight)
-            facets[plane] = ((g1, g2), c, tuple(cell))
-            on_env.update(tight)
-            edges.extend(zip(cell[1:] + cell[:1], cell))
-        corners = {p for _, _, cell in facets.values() for p in cell}
-        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, tuple(sorted(facets.values())))
-
-    def try_evaluate(self, u):
-        p = make_point(u)
-        inside = self.domain[0] <= p <= self.domain[-1] if self.m == 1 else fraction_hull_contains(self.domain, p)
-        if not inside:
-            return None
-        if self.facets:
-            return min(sum(a * b for a, b in zip(g, p)) + c for g, c, _ in self.facets)
-        if len(self.vertices) == 1:
-            return self.vertices[0][1]
-        for (qa, za), (qb, zb) in zip(self.vertices, self.vertices[1:]):
-            val = interp_on_segment(qa, qb, za, zb, p)
-            if val is not None:
-                return val
-        raise AssertionError("unreachable")
-
-    def integral(self):
-        m = self.m
-        total = Fraction(0)
-        for g, c, cell in self.facets:
-            for i in range(1, len(cell) - m + 1):
-                simplex = (cell[0],) + cell[i : i + m]
-                det = _cross(*simplex) if m == 2 else simplex[1][0] - simplex[0][0]
-                mean = sum(sum(a * b for a, b in zip(g, q)) for q in simplex) / (m + 1) + c
-                total += det * mean / m
-        return total
-
-
-def fraction_top_face(f, grad):
-    vals = [(z - grad[0] * p[0] - grad[1] * p[1], p, z) for p, z in f.vertices]
-    top = max(v for v, _, _ in vals)
-    return top, [(p, z) for v, p, z in vals if v == top]
-
-
-def fraction_dual_edges(f):
-    sides = {}
-    for grad, _, cell in f.facets:
-        for a, b in zip(cell, cell[1:] + cell[:1]):
-            sides.setdefault(frozenset((a, b)), []).append((grad, a, b))
-    out = []
-    for (grad, a, b), *other in sides.values():
-        if other:
-            out.append((grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]), True))
-        else:
-            out.append((grad, (a[1] - b[1], b[0] - a[0]), False))
-    return out
-
-
-def fraction_dual_crossings(f, g):
-    out = set()
-    edges_g = fraction_dual_edges(g)
-    for (bf0, bf1), (df0, df1), seg_f in fraction_dual_edges(f):
-        for (bg0, bg1), (dg0, dg1), seg_g in edges_g:
-            det = df0 * dg1 - df1 * dg0
-            if det == 0:
-                continue
-            w0, w1 = bg0 - bf0, bg1 - bf1
-            s = w0 * dg1 - w1 * dg0
-            t = w0 * df1 - w1 * df0
-            if det < 0:
-                det, s, t = -det, -s, -t
-            if 0 <= s and 0 <= t and (s <= det or not seg_f) and (t <= det or not seg_g):
-                s /= det
-                out.add((bf0 + s * df0, bf1 + s * df1))
-    return out
-
-
-def fraction_sup_convolution(f, g):
-    sizes = {len(f.domain), len(g.domain)}
-    if f.m == 1 or 2 in sizes or sizes == {1}:
-        return FractionPL.from_graph_points(
-            (tuple(a + b for a, b in zip(p, q)), zf + zg) for p, zf in f.vertices for q, zg in g.vertices
-        )
-    cells = []
-    tight = {}
-    for grad in {grad for grad, _, _ in f.facets + g.facets} | fraction_dual_crossings(f, g):
-        top_f, face_f = fraction_top_face(f, grad)
-        top_g, face_g = fraction_top_face(g, grad)
-        sums = {(p[0] + q[0], p[1] + q[1]): zf + zg for p, zf in face_f for q, zg in face_g}
-        cell = fraction_hull(sums)
-        if len(cell) >= 3:
-            cells.append((grad, top_f + top_g, tuple(cell)))
-            tight.update(sums)
-    corners = {p for _, _, cell in cells for p in cell}
-    return FractionPL(2, [(p, tight[p]) for p in corners], set(tight) != corners, tuple(sorted(cells)))
-
-
-def assert_same(got: ConcavePL, want: FractionPL, context):
-    assert got.vertices == want.vertices, context
-    assert got.facets() == want.facets, context
-    assert got.domain_vertices() == list(want.domain), context
-    assert got.had_collinear == want.had_collinear, context
-    assert got.integral() == want.integral(), context
+def assert_queries(f, rng):
+    """Domain, cells, integral and values of f against the reference queries;
+    returns the domain."""
+    dv, facets = reference_domain(f), reference_facets(f)
+    assert f.domain_vertices() == dv and f.facets() == facets, f
+    assert f.integral() == reference_integral(f, dv, facets), f
+    for p in probes(rng, f, dv):
+        assert f.try_evaluate(p) == reference_try_evaluate(f, dv, facets, p), (f, p)
+    return dv
 
 
 BIG = 10**12
@@ -290,15 +139,14 @@ def graph_sets(rng):
         yield [((Fraction(ox * den + x, den),), a + b * x if rng.random() < 0.5 else coordinate(rng)) for x in xs]
 
 
-def probes(rng, want):
-    """Lattice and rational points in and around the domain."""
-    dom = want.domain
-    out = [tuple(q) for q in dom]
+def probes(rng, f, dv):
+    """Domain vertices, and rational points in and around the domain."""
+    out = list(dv)
     for _ in range(8):
-        (q, _), (r, _) = rng.choice(want.vertices), rng.choice(want.vertices)
+        (q, _), (r, _) = rng.choice(f.vertices), rng.choice(f.vertices)
         t = Fraction(rng.randint(-3, 11), rng.choice([8, 21]))
         out.append(tuple(qc + t * (rc - qc) for qc, rc in zip(q, r)))
-        out.append(tuple(c + Fraction(rng.randint(-2, 2), rng.choice([1, 3, 7])) for c in rng.choice(dom)))
+        out.append(tuple(c + Fraction(rng.randint(-2, 2), rng.choice([1, 3, 7])) for c in rng.choice(dv)))
     return out
 
 
@@ -309,32 +157,33 @@ def test_integer_core_matches_the_fraction_code():
     shapes = set()
     for _ in range(400):
         pts = next(sets)
-        got, want = ConcavePL.from_graph_points(pts), FractionPL.from_graph_points(pts)
-        assert_same(got, want, pts)
-        for p in probes(rng, want):
-            assert got.try_evaluate(p) == want.try_evaluate(p), (pts, p)
-        positions = [make_point(p) for p, _ in pts]
-        if got.m == 2:
+        f = ConcavePL.from_graph_points(pts)
+        if f.m == 2:
+            assert (f.vertices, f.had_collinear, f.facets()) == reference_plane_search_envelope(graph_reps(pts)), pts
+        else:
+            assert_envelope_1d(f, pts)
+        dv = assert_queries(f, rng)
+        if f.m == 2:
+            positions = [make_point(p) for p, _ in pts]
             hull = convex_hull_2d(positions)
             assert hull == fraction_hull(positions)
-            for p in positions + [make_point(q) for q in probes(rng, want)]:
+            for p in positions + [make_point(q) for q in probes(rng, f, dv)]:
                 assert hull_contains(hull, p) == fraction_hull_contains(hull, p)
             if len(hull) >= 3:
-                q0, q1 = rng.choice(positions), rng.choice(probes(rng, want))
+                q0, q1 = rng.choice(positions), rng.choice(probes(rng, f, dv))
                 assert clip_segment(hull, q0, q1) == fraction_clip_segment(hull, q0, q1)
-        pool[got.m].append((got, want))
-        shapes.add((got.m, min(len(want.domain), 3), want.had_collinear))
+        pool[f.m].append(f)
+        shapes.add((f.m, min(len(dv), 3), f.had_collinear))
     assert shapes >= {(1, 1, False), (1, 2, False), (1, 2, True), (2, 1, False), (2, 2, False), (2, 2, True), (2, 3, False), (2, 3, True)}
     crossings = 0
     for m, count in ((1, 200), (2, 300)):
         for _ in range(count):
-            (f, rf), (g, rg) = rng.choice(pool[m]), rng.choice(pool[m])
-            h, rh = sup_convolution(f, g), fraction_sup_convolution(rf, rg)
-            assert_same(h, rh, (f, g))
-            known = {grad for grad, _, _ in rf.facets + rg.facets}
-            crossings += any(grad not in known for grad, _, _ in rh.facets)
-            if m == 2 and len(rh.domain) >= 3:
+            f, g = rng.choice(pool[m]), rng.choice(pool[m])
+            h = assert_sup_matches_reference(f, g)
+            assert_queries(h, rng)
+            crossings += crossed(f, g, h)
+            if m == 2 and len(h.domain_vertices()) >= 3:
                 # A sum of sums, as mixed volumes build them.
-                (k, rk) = rng.choice(pool[2])
-                assert_same(sup_convolution(h, k), fraction_sup_convolution(rh, rk), (h, k))
+                k = rng.choice(pool[2])
+                assert_queries(assert_sup_matches_reference(h, k), rng)
     assert crossings >= 20
