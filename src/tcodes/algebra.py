@@ -215,13 +215,18 @@ class Poly:
         """Vanishing order at x = x0 (raises on the zero polynomial)."""
         if self.is_zero():
             raise ValueError("zero polynomial vanishes to infinite order")
+        p = self.p
+        cs = list(self.coeffs)
         m = 0
-        f = self
-        root = Poly.x_minus(x0, self.p)
-        while f.evaluate(x0) == 0:
-            f = f // root
+        while True:
+            # Synthetic division by x - x0 in place: cs[0] becomes the
+            # remainder f(x0), cs[1:] the quotient.
+            for i in range(len(cs) - 2, -1, -1):
+                cs[i] = (cs[i] + x0 * cs[i + 1]) % p
+            if cs[0]:
+                return m
+            del cs[0]
             m += 1
-        return m
 
     def __repr__(self) -> str:
         if self.is_zero():

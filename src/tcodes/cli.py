@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .codes import (
     BudgetExceeded,
@@ -92,7 +93,7 @@ def _run_genmat(setup: EvaluationSetup) -> int:
     gen = code.generator()
     print(f"{code.n} {code.k} {setup.q}")
     for row in gen.rows:
-        print(" ".join(str(x) for x in row))
+        print(" ".join(map(str, row)))
     return EXIT_OK
 
 
@@ -179,7 +180,9 @@ def _load_spec(path: str):
         return parse(fh.read())
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="tcode", description="Evaluation codes from divisorial polytopes."
     )
@@ -196,7 +199,11 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--p", type=int, default=7)
     sp.add_argument("--curve", default=None)
     sp.add_argument("--budget", type=int, default=2_000_000)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     action = args.action if args.command == "example" else args.command
     try:

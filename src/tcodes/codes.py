@@ -394,7 +394,8 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     back to the code length.
 
     Each slice is floored once at every weight, and each box reads its c_j
-    at its corners, built directly; one Riemann-Roch basis serves every box
+    at its corners, built directly; one Riemann-Roch basis, and one count of
+    the flat points where its first element is nonzero, serves every box
     with the same (c, r0). With no stored slice every c is empty and the
     certificate is a constant.
     """
@@ -420,9 +421,13 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
     formula_min = min(bound for bound, _, _, _ in candidates)
+    candidates.sort(key=lambda c: c[0])
+    # Boxes with one (c, r0) share one section object, and so its flat-point count.
+    sections = list({id(f): f for _, _, _, f in candidates}.values())
+    flat = dict(zip(map(id, sections), _flat_nonzero(setup, sections)))
     best: tuple[int, tuple, int, FunctionFieldElement] | None = None
-    for bound, B, r0, f in sorted(candidates, key=lambda c: c[0]):
-        weight = _witness_weight(setup, B, f)
+    for bound, B, r0, f in candidates:
+        weight = _witness_weight(setup, B, f, flat[id(f)])
         if weight is not None and (best is None or weight < best[0]):
             best = (weight, B, r0, f)
     if best is not None:
@@ -432,23 +437,30 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     return UpperBound(setup.n, formula_min, UpperWitness(B, r0, f, None))
 
 
-def _witness_weight(setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement) -> int | None:
+def _flat_nonzero(setup: EvaluationSetup, sections: list[FunctionFieldElement]) -> list[int]:
+    """For each section f, the number of flat points (twist gradient 0, twist
+    c) where (f t^c)(P) != 0, from one `_section_values` pass."""
+    gradients, offsets = setup._twist_arrays
+    at = np.flatnonzero(~gradients.any(axis=1))
+    return np.count_nonzero(_section_values(setup, sections, offsets[at], at), axis=1).tolist()
+
+
+def _witness_weight(
+    setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement, flat_nonzero: int
+) -> int | None:
     """Exact weight of the certificate codeword, None if it evaluates to zero.
 
     The word is f t^base prod_a prod_j (t_a - eta_j), eta_j the first r_a
     powers of g. At a flat point (twist gradient 0) every term shares the
     twist c, so the word there is (f t^c)(P) t^base prod(t_a - eta_j), whose
-    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a). Only sloped points are
-    weighed column by column against the character table.
+    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a); `flat_nonzero` counts
+    the flat points where (f t^c)(P) != 0 (`_flat_nonzero`). Only sloped
+    points are weighed column by column against the character table.
     """
     curve, p = setup.curve, setup.q
     sides = [t - s for s, t in B]
-    gradients, offsets = setup._twist_arrays
-    flat = ~gradients.any(axis=1)
-    at = np.flatnonzero(flat)
-    nonzero = np.count_nonzero(_section_values(setup, [f], offsets[at], at))
-    weight = int(nonzero) * prod(max(0, p - 1 - r) for r in sides)
-    sloped = np.flatnonzero(~flat)
+    weight = flat_nonzero * prod(max(0, p - 1 - r) for r in sides)
+    sloped = np.flatnonzero(setup._twist_arrays[0].any(axis=1))
     if not sloped.size:
         return weight or None
     g = primitive_root(p)

@@ -432,6 +432,10 @@ class ConcavePL:
     def domain_vertices(self) -> list[Point]:
         return [self._exact(q) for q in self._domain]
 
+    def has_domain(self, vertices: Iterable[Sequence[int]]) -> bool:
+        """Whether the domain's vertices are exactly these lattice points."""
+        return set(self._domain) == {tuple(self._den * x for x in v) for v in vertices}
+
     def _locate(self, u: Sequence[Fraction | int] | int) -> tuple[Point, IntPoint, int] | None:
         """The point u with its numerators over their least denominator b,
         when it lies in the domain; None when it does not."""

@@ -498,18 +498,22 @@ def riemann_roch_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
 
     The basis is ordered by decreasing valuation at the largest-coefficient
     point of D (ties in the coefficient broken by point order), and successive
-    elements have strictly decreasing valuations there.
+    elements have strictly decreasing valuations there. Every element is
+    (a + b y) / den over one den, so the basis is found and echelonized as
+    coefficient vectors over the monomials of a + b y, and each element is
+    built once, at the end.
     """
     if not D.is_integral():
         raise ValueError("Riemann-Roch spaces are computed for integral divisors")
     if not all(curve.contains(P) for P in D.support()):
         raise ValueError("divisor support must lie on the curve")
-    basis = _rr_raw_basis(curve, D)
-    _assert_rr_dimension(curve, D, len(basis))
-    if len(basis) <= 1:
-        return basis
-    anchor = max(D.items(), key=lambda kv: (kv[1], [-k for k in kv[0].sort_key()]))[0] if D.coeffs else INFINITY
-    return _echelonize_by_valuation(curve, basis, anchor)
+    den, monomials, vectors = _rr_kernel(curve, D)
+    _assert_rr_dimension(curve, D, len(vectors))
+    if len(vectors) > 1:
+        anchor = max(D.items(), key=lambda kv: (kv[1], [-k for k in kv[0].sort_key()]))[0] if D.coeffs else INFINITY
+        vectors = _echelonize_vectors(curve, monomials, vectors, anchor)
+    p, n_a = curve.p, sum(1 for _, with_y in monomials if not with_y)
+    return [FunctionFieldElement(curve, Poly(v[:n_a], p), Poly(v[n_a:], p), den) for v in vectors]
 
 
 def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
@@ -526,8 +530,23 @@ def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
     assert dim == expected, f"Riemann-Roch dimension {dim} != {expected} for {D!r}"
 
 
-def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
-    """L(D) as the (a + b y) / den whose low-order local coefficients vanish.
+Monomial = tuple[int, bool]  # (j, with_y): x^j, or x^j y on elliptic curves
+
+
+def _monomial_rows(curve: Curve, P: CurvePoint, monomials: list[Monomial], prec: int) -> list[list[int]]:
+    """Row k < prec holds the coefficient of t^k of each monomial at the affine point P."""
+    p = curve.p
+    xs, ys = local_expansions(curve, P, prec)
+    x_pows = [[1] + [0] * (prec - 1)]
+    for _ in range(max(j for j, _ in monomials)):
+        x_pows.append(_series_mul(x_pows[-1], xs, prec, p))
+    cols = [_series_mul(x_pows[j], ys, prec, p) if with_y else x_pows[j] for j, with_y in monomials]
+    return [list(row) for row in zip(*cols)]
+
+
+def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, list[Monomial], list[list[int]]]:
+    """L(D) as (den, monomials, vectors): the (a + b y) / den whose low-order
+    local coefficients vanish, one coefficient vector over the monomials each.
 
     den clears the positive affine part of D; the monomials x^i and x^j y (the
     latter on elliptic curves only) are capped by the pole allowed at infinity,
@@ -548,10 +567,10 @@ def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
     # x^i / den has a pole of order m (i - dc) at infinity and x^j y / den one of 2 (j - dc) + 3.
     cap_a = dc + rational_floor(Fraction(n_inf, _x_pole_order(curve)))
     cap_b = dc + rational_floor(Fraction(n_inf - 3, 2)) if curve.kind == "elliptic" else -1
-    monomials: list[tuple[int, bool]] = [(i, False) for i in range(cap_a + 1)]
+    monomials: list[Monomial] = [(i, False) for i in range(cap_a + 1)]
     monomials += [(j, True) for j in range(cap_b + 1)]
     if not monomials:
-        return []
+        return den, monomials, []
     constrained: dict[CurvePoint, int] = {}
     for x0, m in mult_by_x.items():
         for P in _points_above(curve, x0):
@@ -563,56 +582,67 @@ def _rr_raw_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
             constrained[P] = -int(c)
     rows: list[list[int]] = []
     for P in sorted(constrained, key=CurvePoint.sort_key):
-        r = constrained[P]
-        xs, ys = local_expansions(curve, P, r)
-        x_pows = [[1] + [0] * (r - 1)]
-        for _ in range(max(cap_a, cap_b)):
-            x_pows.append(_series_mul(x_pows[-1], xs, r, p))
-        cols = []
-        for j, with_y in monomials:
-            series = _series_mul(x_pows[j], ys, r, p) if with_y else x_pows[j]
-            cols.append(series)
-        for d in range(r):
-            rows.append([col[d] for col in cols])
+        rows += _monomial_rows(curve, P, monomials, constrained[P])
     if rows:
-        kern = MatrixFp(rows, p).kernel_basis()
-    else:
-        kern = [[1 if i == j else 0 for i in range(len(monomials))] for j in range(len(monomials))]
-    out = []
-    for vec in kern:
-        a = [0] * (cap_a + 1)
-        b = [0] * (cap_b + 1)
-        for coef, (j, with_y) in zip(vec, monomials):
-            if with_y:
-                b[j] = coef
-            else:
-                a[j] = coef
-        out.append(FunctionFieldElement(curve, Poly(a, p), Poly(b, p), den))
-    return out
+        return den, monomials, MatrixFp(rows, p).kernel_basis()
+    return den, monomials, [[int(i == j) for i in range(len(monomials))] for j in range(len(monomials))]
 
 
-def _echelonize_by_valuation(
-    curve: Curve, basis: list[FunctionFieldElement], anchor: CurvePoint
-) -> list[FunctionFieldElement]:
+def _anchor_rows(curve: Curve, monomials: list[Monomial], anchor: CurvePoint) -> list[list[int]]:
+    """The map from monomial coefficients to the series of a + b y at the
+    anchor, as rows, far enough to reach the leading term of any nonzero one.
+
+    At infinity the monomials have distinct pole orders (x^i: m i, x^j y:
+    2j + 3), and each is t^-pole (1 + O(t)), so the leading term of a + b y
+    is that of its monomial of largest pole: row k picks the monomial of the
+    k-th largest pole. At an affine point the rows are the local series up
+    to the largest pole order, which a nonzero a + b y reaches: it has no
+    more zeros than poles, and its poles are at infinity.
+    """
+    poles = [2 * j + 3 if with_y else _x_pole_order(curve) * j for j, with_y in monomials]
+    if not anchor.is_infinity:
+        return _monomial_rows(curve, anchor, monomials, max(poles) + 1)
+    order = sorted(range(len(monomials)), key=lambda i: -poles[i])
+    return [[int(i == j) for i in range(len(monomials))] for j in order]
+
+
+def _echelonize_vectors(
+    curve: Curve, monomials: list[Monomial], vectors: list[list[int]], anchor: CurvePoint
+) -> list[list[int]]:
+    """Coefficient vectors of (a + b y) / den with distinct valuations at the anchor.
+
+    den is common, so valuations and leading-coefficient ratios are those of
+    a + b y: the index and value of the first nonzero entry of its series.
+    While two vectors share a valuation, the second member of the first such
+    class loses the multiple of the first that cancels its leading term; the
+    vectors are then sorted by decreasing valuation.
+    """
     p = curve.p
-    work = list(basis)
-    orders = [_orders(curve, f, anchor) for f in work]
+    rows = _anchor_rows(curve, monomials, anchor)
+    prec = len(rows)
+
+    def lowest(w: list[int]) -> int:
+        k = next((k for k in range(prec) if w[k]), None)
+        assert k is not None, "series precision below the leading term"
+        return k
+
+    # Each vector rides behind its series, so one row operation updates both.
+    work = [[sum(r * c for r, c in zip(row, v)) % p for row in rows] + v for v in vectors]
+    orders = [lowest(w) for w in work]
     while True:
-        by_val: dict[int, list[int]] = {}
-        for i, (num_ord, den_ord) in enumerate(orders):
-            by_val.setdefault(num_ord - den_ord, []).append(i)
-        clash = next((idxs for idxs in by_val.values() if len(idxs) > 1), None)
+        by_order: dict[int, list[int]] = {}
+        for i, k in enumerate(orders):
+            by_order.setdefault(k, []).append(i)
+        clash = next((idxs for idxs in by_order.values() if len(idxs) > 1), None)
         if clash is None:
             break
         keep, other = clash[0], clash[1]
-        lc_keep = _leading_coefficient(curve, work[keep], anchor, *orders[keep])
-        lc_other = _leading_coefficient(curve, work[other], anchor, *orders[other])
-        factor = lc_other * inv_mod(lc_keep, p) % p
-        work[other] = work[other] - work[keep].scale(factor)
-        assert not work[other].is_zero(), "basis was linearly dependent"
-        orders[other] = _orders(curve, work[other], anchor)
-    vals = [num_ord - den_ord for num_ord, den_ord in orders]
-    return [work[i] for i in sorted(range(len(work)), key=lambda i: -vals[i])]
+        k = orders[keep]
+        factor = work[other][k] * inv_mod(work[keep][k], p) % p
+        work[other] = [(u - factor * v) % p for u, v in zip(work[other], work[keep])]
+        assert any(work[other][prec:]), "basis was linearly dependent"
+        orders[other] = lowest(work[other])
+    return [work[i][prec:] for i in sorted(range(len(work)), key=lambda i: -orders[i])]
 
 
 def divisor_of(curve: Curve, f: FunctionFieldElement, candidates: Iterable[CurvePoint]) -> Divisor:

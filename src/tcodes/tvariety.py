@@ -41,7 +41,7 @@ class DivisorialPolytope:
                 raise ValueError(f"slice point {P.render()} is not on the curve")
             if s.m != box.m:
                 raise ValueError("slice dimension does not match the box")
-            if set(s.domain_vertices()) != set(box.vertex_points()):
+            if not s.has_domain(box.vertices):
                 raise ValueError(f"slice at {P.render()} is not defined exactly on the box")
         self.curve = curve
         self.box = box

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,38 @@ def test_poly_multiplicity():
     p = 7
     f = Poly.x_minus(3, p) ** 4 * Poly([1, 1], p)
     assert f.multiplicity(3) == 4
+
+
+def reference_multiplicity(f, x0):
+    """The former loop: one full division by x - x0 per order."""
+    if f.is_zero():
+        raise ValueError("zero polynomial vanishes to infinite order")
+    m = 0
+    root = Poly.x_minus(x0, f.p)
+    while f.evaluate(x0) == 0:
+        f = f // root
+        m += 1
+    return m
+
+
+def test_poly_multiplicity_matches_the_division_loop():
+    rng = random.Random(92)
+    for p in (2, 5, 7, 101, 2**31 - 1):
+        for _ in range(150):
+            x0 = rng.randrange(p)
+            # Random cofactors times (x - x0)^e, roots given as any integer.
+            f = Poly([rng.randrange(p) for _ in range(rng.randint(1, 6))], p)
+            f = f * Poly.x_minus(x0, p) ** rng.randint(0, 6)
+            if f.is_zero():
+                continue
+            for x in (x0, x0 + p, x0 - 3 * p, rng.randrange(p)):
+                assert f.multiplicity(x) == reference_multiplicity(f, x), (f, x)
+    for p in (2, 7):
+        for x0 in (0, 3):
+            with pytest.raises(ValueError, match="^zero polynomial vanishes to infinite order$"):
+                Poly([], p).multiplicity(x0)
+            with pytest.raises(ValueError, match="^zero polynomial vanishes to infinite order$"):
+                reference_multiplicity(Poly([0, 0], p), x0)
 
 
 @settings(max_examples=60, deadline=None)

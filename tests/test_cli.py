@@ -249,6 +249,23 @@ def test_missing_file_exit_code(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["info"], ["example", "nope", "info"], ["distance", "x", "--budget", "many"], ["-h"], ["example", "-h"]],
+)
+def test_usage_errors_and_help_repeat_byte_for_byte(capsys, argv):
+    # One parser serves every call in a process; a call must not change
+    # what the next one prints or returns.
+    seen = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out = capsys.readouterr()
+        seen.append((stop.value.code, out.out, out.err))
+    assert seen[0][0] in (0, 2) and seen[0][1] + seen[0][2]
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
 def test_cli_tour_leaves_no_temp_files(tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=pythonpath)

@@ -407,6 +407,12 @@ def reference_witness_weight(setup, B, f):
     return weight if any_nonzero else None
 
 
+def witness_weight(setup, B, f):
+    """`codes._witness_weight` with f's flat-point count computed for f alone."""
+    (flat,) = codes._flat_nonzero(setup, [f])
+    return codes._witness_weight(setup, B, f, flat)
+
+
 def reference_toric_generator(p, lattice_points):
     g = primitive_root(p)
     powers = [pow(g, i, p) for i in range(p - 1)]
@@ -433,8 +439,8 @@ def assert_code_matches_reference(setup, monkeypatch):
     checked = []
     kernel = codes._witness_weight
 
-    def both(setup_, B, f):
-        got = kernel(setup_, B, f)
+    def both(setup_, B, f, flat_nonzero):
+        got = kernel(setup_, B, f, flat_nonzero)
         assert got == reference_witness_weight(setup_, B, f), B
         checked.append(B)
         return got
@@ -577,14 +583,44 @@ def test_witness_weight_matches_reference_on_flat_and_sloped_points():
         assert len(sections) >= 3
         for B in codes._sub_boxes(setup.dp, setup.q):
             f = rng.choice(sections)
-            assert codes._witness_weight(setup, B, f) == reference_witness_weight(setup, B, f), (B, f)
+            assert witness_weight(setup, B, f) == reference_witness_weight(setup, B, f), (B, f)
     # A certificate that evaluates to zero: (x - 1)(x - 2) vanishes at both
     # flat points, and the twist 3 + u at the sloped infinity exceeds its pole.
     setup = EvaluationSetup.build(ruled_divpoly(p1, 2, 1, 3), [CurvePoint.affine(1, 0, 7), CurvePoint.affine(2, 0, 7), INFINITY])
     f = FunctionFieldElement(p1, Poly([2, -3, 1], 7), Poly([], 7), Poly([1], 7))
     for B in (((0, 0),), ((0, 2),), ((1, 2),)):
-        assert codes._witness_weight(setup, B, f) is None
+        assert witness_weight(setup, B, f) is None
         assert reference_witness_weight(setup, B, f) is None
+
+
+def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
+    # Every witness weight matches the full-table reference, and one
+    # `_section_values` pass gives the flat points' values of each distinct
+    # section once, though a section certifies every box with its (c, r0).
+    setups = [kernel_setup(*args) for args in KERNEL_SETUPS] + list(builtin_setups().values())
+    kernel, values = codes._witness_weight, codes._section_values
+    shared = 0
+    for setup in setups:
+        passes, witnessed = [], []
+
+        def counted(setup_, sections, ks, at=None):
+            passes.append([id(f) for f in sections])
+            return values(setup_, sections, ks, at)
+
+        def checked(setup_, B, f, flat_nonzero):
+            got = kernel(setup_, B, f, flat_nonzero)
+            assert got == reference_witness_weight(setup_, B, f), B
+            witnessed.append(id(f))
+            return got
+
+        with monkeypatch.context() as mp:
+            mp.setattr(codes, "_section_values", counted)
+            mp.setattr(codes, "_witness_weight", checked)
+            if _outcome(d_upper, setup) is ValueError:
+                continue
+        assert len(passes) == 1 and sorted(passes[0]) == sorted(set(witnessed))
+        shared += len(witnessed) > len(set(witnessed))
+    assert shared >= 3
 
 
 def test_kernel_keeps_the_point_loop_refusals():
@@ -595,7 +631,7 @@ def test_kernel_keeps_the_point_loop_refusals():
     with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
         build_code(off)
     with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
-        codes._witness_weight(off, ((0, 1),), FunctionFieldElement.one(p1))
+        witness_weight(off, ((0, 1),), FunctionFieldElement.one(p1))
     setup = EvaluationSetup.build(dp, [CurvePoint.affine(1, 0, 7), CurvePoint.affine(3, 0, 7)])
     one = FunctionFieldElement.one(p1)
     with pytest.raises(ValueError, match=r"^pole of order 0 exceeds twist -1 at \(3,0\)$"):
@@ -777,7 +813,7 @@ def reference_d_upper(setup):
     formula_min = min(bound for bound, _, _, _ in candidates)
     best = None
     for bound, B, r0, f in sorted(candidates, key=lambda c: c[0]):
-        weight = codes._witness_weight(setup, B, f)
+        weight = witness_weight(setup, B, f)
         if weight is not None and (best is None or weight < best[0]):
             best = (weight, B, r0, f)
     if best is not None:

@@ -22,10 +22,8 @@ from tcodes import (
 )
 from tcodes.algebra import MatrixFp, inv_mod, rational_floor
 from tcodes.curve import (
-    _echelonize_by_valuation,
     _points_above,
     _poly_on_series,
-    _rr_raw_basis,
     _series_mul,
     local_expansions,
 )
@@ -584,18 +582,40 @@ def test_twisted_evaluate_errors_match_reference(curve):
                 assert str(err.value) == want
 
 
-@pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")
+def reference_anchor(D):
+    """The point riemann_roch_basis echelonizes at: the largest coefficient,
+    ties to the smallest point; infinity for D = 0."""
+    if not D.coeffs:
+        return INFINITY
+    return max(D.items(), key=lambda kv: (kv[1], [-k for k in kv[0].sort_key()]))[0]
+
+
+def high_pole_divisors(rng, curve, count):
+    """Poles of order up to 12 at one to three rational points (infinity
+    among them), past the largest, 8, that code-sweep's divisors reach."""
+    pts = curve.rational_points()
+    out = []
+    for _ in range(count):
+        support = rng.sample(pts, rng.randint(1, 3))
+        out.append(Divisor({P: rng.randint(-2, 12) for P in support}))
+    return out
+
+
+RR_CURVES = ORACLE_CURVES + [Curve.p1(101), Curve.elliptic(101, 0, 3)]
+
+
+@pytest.mark.parametrize("curve", RR_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")
 def test_riemann_roch_raw_basis_matches_reference(curve):
+    # The coefficient-vector echelon against the function-field one, element
+    # for element, on the raw basis of the former two-branch construction.
     rng = random.Random(2000 * curve.p + 10 * curve.A + curve.B)
-    for D in random_divisors(rng, curve, 24):
-        raw = _rr_raw_basis(curve, D)
-        assert raw == reference_rr_raw_basis(curve, D), D
-        for anchor in D.support() + [INFINITY]:
-            if len(raw) > 1:
-                assert _echelonize_by_valuation(curve, raw, anchor) == reference_echelonize_by_valuation(
-                    curve, raw, anchor
-                ), (D, anchor)
-        for f in riemann_roch_basis(curve, D):
+    divisors = random_divisors(rng, curve, 24) + high_pole_divisors(rng, curve, 12 if curve.p == 101 else 4)
+    for D in divisors:
+        raw = reference_rr_raw_basis(curve, D)
+        want = reference_echelonize_by_valuation(curve, raw, reference_anchor(D)) if len(raw) > 1 else raw
+        basis = riemann_roch_basis(curve, D)
+        assert basis == want, D
+        for f in basis:
             assert (divisor_of(curve, f, curve.rational_points()) + D).is_effective()
 
 
