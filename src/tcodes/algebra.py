@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 
 
 def rational_floor(x: Fraction | int) -> int:
@@ -257,15 +257,8 @@ class MatrixFp:
                 raise ValueError("ragged matrix")
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def transpose(self) -> "MatrixFp":
-        return MatrixFp([list(col) for col in zip(*self.rows)] if self.rows else [], self.p)
 
     def rank_and_rref(self) -> tuple[int, list[list[int]], list[int]]:
         """Row-reduce; returns (rank, rref rows, pivot column indices)."""
@@ -330,16 +323,5 @@ class MatrixFp:
             picked.append(idx)
         return picked
 
-    def multiply_vector(self, vec: list[int]) -> list[int]:
-        p = self.p
-        return [sum(c * x for c, x in zip(row, vec)) % p for row in self.rows]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MatrixFp) and self.p == other.p and self.rows == other.rows
-
-
-def lattice_gcd(values: tuple[int, ...] | list[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

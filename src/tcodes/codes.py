@@ -61,8 +61,9 @@ def _affine_twist(slice_) -> tuple[tuple[int, ...], int] | None:
 
 
 def admissible_points(dp: DivisorialPolytope) -> list[CurvePoint]:
-    """Rational points whose slice is affine with integer data."""
-    return [P for P in dp.curve.rational_points() if _affine_twist(dp.slice_at(P)) is not None]
+    """Rational points whose slice is affine with integer data: the points
+    `EvaluationSetup.build(dp)` keeps."""
+    return EvaluationSetup.build(dp).points
 
 
 @dataclass
@@ -75,17 +76,18 @@ class EvaluationSetup:
 
     @classmethod
     def build(cls, dp: DivisorialPolytope, points: list[CurvePoint] | None = None) -> "EvaluationSetup":
-        if points is None:
-            points = admissible_points(dp)
-        if len(set(points)) != len(points):
+        """The given points, or by default every rational point whose slice
+        is affine with integer data."""
+        candidates = dp.curve.rational_points() if points is None else points
+        if len(set(candidates)) != len(candidates):
             raise ValueError("evaluation points must be distinct")
-        twists = []
-        for P in points:
-            tw = _affine_twist(dp.slice_at(P))
+        twists = [(P, _affine_twist(dp.slice_at(P))) for P in candidates]
+        if points is None:
+            twists = [(P, tw) for P, tw in twists if tw is not None]
+        for P, tw in twists:
             if tw is None:
                 raise ValueError(f"slice at {P.render()} is not affine-integral")
-            twists.append(tw)
-        return cls(dp, list(points), twists)
+        return cls(dp, [P for P, _ in twists], [tw for _, tw in twists])
 
     @property
     def curve(self) -> Curve:
@@ -128,10 +130,8 @@ class EvaluationSetup:
     @cached_property
     def _affine_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """x, y, and which points the int64 pass of `_section_values` reads:
-        affine points on the curve (each checked here once) of a field below
-        _INT64_EXACT_BELOW."""
-        small = self.q < _INT64_EXACT_BELOW
-        batched = [small and not P.is_infinity and self.curve.contains(P) for P in self.points]
+        affine points on the curve (each checked here once)."""
+        batched = [not P.is_infinity and self.curve.contains(P) for P in self.points]
         return (
             np.array([P.x if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
             np.array([P.y if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
@@ -139,13 +139,11 @@ class EvaluationSetup:
         )
 
 
-# Products of two residues and a residue stay below 2^63 while p < 3.03e9.
-_INT64_EXACT_BELOW = 3_000_000_000
-
-
 def _horner(polys: list[Poly], xs: np.ndarray, p: int) -> np.ndarray:
     """Every polynomial at every x, mod p: one row per polynomial, one int64
-    Horner pass over all of them (exact for p < _INT64_EXACT_BELOW)."""
+    Horner pass over all of them. Exact because `check_prime_field` refuses
+    p >= 2^31 before any curve exists: a residue times a residue plus a
+    residue stays below 2^63."""
     coeffs = np.zeros((len(polys), max((len(f.coeffs) for f in polys), default=0)), dtype=np.int64)
     for row, f in zip(coeffs, polys):
         row[: len(f.coeffs)] = f.coeffs
@@ -165,11 +163,11 @@ def _section_values(
     At an affine point where c(P) != 0, f = (a + b y) / c is regular, so
     f * t^k is f(P) for k = 0 and 0 for k > 0 (also when f(P) = 0). a, b and
     c are evaluated at all such points by one int64 Horner pass each, mod p.
-    That is exact for p < _INT64_EXACT_BELOW (as in `_characters`), and
-    `check_prime_field` keeps every field below 2^31; past the bound no point
-    takes this path. Where c(P) = 0, at infinity, at a point off the curve
-    and for k < 0, `twisted_evaluate` gives the value or raises its own
-    error, in row then point order as a per-point loop would.
+    That relies on `check_prime_field`, which refuses p >= 2^31 before any
+    curve exists, so no product of two residues leaves int64 (see `_horner`).
+    Where c(P) = 0, at infinity, at a point off the curve and for k < 0,
+    `twisted_evaluate` gives the value or raises its own error, in row then
+    point order as a per-point loop would.
     """
     p = setup.q
     at = np.arange(setup.l) if at is None else at

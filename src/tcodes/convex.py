@@ -115,30 +115,6 @@ def hull_contains(hull: Sequence[Point], p: Point) -> bool:
     return _contains(pts[:-1], pts[-1])
 
 
-def clip_segment(hull: Sequence[Point], q0: Point, q1: Point) -> tuple[Fraction, Fraction] | None:
-    """Parameter range [tmin, tmax] of {q0 + t(q1-q0) : 0 <= t <= 1} inside the hull."""
-    if len(hull) < 3:
-        raise ValueError("segment clipping needs a full-dimensional polygon")
-    _, (*hull, q0, q1) = _lift([*hull, q0, q1])
-    d = (q1[0] - q0[0], q1[1] - q0[1])
-    lo, hi = (0, 1), (1, 1)  # tmin and tmax as (numerator, positive denominator)
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        # Inside condition cross(a, b, q0 + t d) >= 0 is affine in t.
-        base = _cross(a, b, q0)
-        slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
-        if slope == 0:
-            if base < 0:
-                return None
-        elif slope > 0:
-            if -base * lo[1] > lo[0] * slope:
-                lo = (-base, slope)
-        elif base * hi[1] < hi[0] * -slope:
-            hi = (base, -slope)
-    if lo[0] * hi[1] > hi[0] * lo[1]:
-        return None
-    return Fraction(*lo), Fraction(*hi)
-
-
 def _minkowski(p: Sequence[IntPoint], q: Sequence[IntPoint]) -> list[IntPoint]:
     """Minkowski sum of two `_hull` results that are polygons or points.
 
@@ -269,12 +245,6 @@ class LatticePolytope:
             d = (b[0] - a[0], b[1] - a[1])
             out.append(primitive_vector((d[1], -d[0])))
         return sorted(out)
-
-    def min_face_vertices(self, n: Sequence[int]) -> list[tuple[int, ...]]:
-        """Vertices minimizing the pairing with n."""
-        vals = [sum(c * w for c, w in zip(v, n)) for v in self.vertices]
-        lo = min(vals)
-        return [v for v, val in zip(self.vertices, vals) if val == lo]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -187,9 +187,6 @@ class Divisor:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

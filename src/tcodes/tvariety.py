@@ -20,11 +20,8 @@ from .convex import (
     ConcavePL,
     LatticePolytope,
     Point,
-    clip_segment,
-    convex_hull_2d,
     dot,
     floor_sum_over_lattice,
-    hull_contains,
     make_point,
     signed_ceiling_interior_sum,
     sup_convolution,
@@ -227,48 +224,32 @@ class TWeilDivisor:
         return " + ".join(parts)
 
 
-def _tail_gradients(dp: DivisorialPolytope, s: ConcavePL, n: tuple[int, ...]) -> list[Point]:
-    """Gradients of the slice cells sitting over the box face that minimizes n."""
-    face = dp.box.min_face_vertices(n)
-    grads = []
-    if dp.m == 1 or len(face) == 1:
-        target = make_point(face[0])
-        for g, _, cell in s.facets():
-            if dp.m == 1:
-                if cell[0] == target or cell[-1] == target:
-                    grads.append(g)
-            elif hull_contains(list(cell), target):
-                grads.append(g)
-    else:
-        q0, q1 = make_point(face[0]), make_point(face[1])
-        for g, _, cell in s.facets():
-            span = clip_segment(list(cell), q0, q1)
-            if span is not None and span[0] < span[1]:
-                grads.append(g)
-    return grads
-
-
 def _ray_meets_degree(dp: DivisorialPolytope, n: tuple[int, ...]) -> bool:
     """Whether the span of the ray meets the summed tail pieces of the slices.
 
     This is the exact degree test; in one variable the span is the whole line,
-    so it always meets, and the flag is purely diagnostic there.
+    so it always meets, and the flag is purely diagnostic there. In the plane
+    the tail piece of a slice holds the gradients of its cells over the box
+    face that minimizes n. The cells lie in the box and their corners are
+    hull vertices, so a cell lies over the face when exactly as many of its
+    corners as of the box's vertices attain the minimum. The side
+    n0 g1 - n1 g0 of a gradient g is linear, so the sum of the pieces lies
+    strictly on one side when the slices' least sides sum above zero or
+    their greatest below.
     """
     if dp.m == 1:
         return True
-    total: list[Point] = [make_point((0, 0))]
+    h0 = min(n[0] * v[0] + n[1] * v[1] for v in dp.box.vertices)
+    k = sum(n[0] * v[0] + n[1] * v[1] == h0 for v in dp.box.vertices)
+    lo = hi = 0
     for s in dp.slices.values():
-        grads = _tail_gradients(dp, s, n)
-        if not grads:
-            continue
-        total = convex_hull_2d(
-            [tuple(a + b for a, b in zip(t, g)) for t in total for g in grads]
-        )
-    nn = make_point(n)
-    sides = [nn[0] * k[1] - nn[1] * k[0] for k in total]
-    if all(sd > 0 for sd in sides) or all(sd < 0 for sd in sides):
-        return False
-    return True
+        sides = [
+            n[0] * g[1] - n[1] * g[0]
+            for g, _, cell in s.facets()
+            if sum(n[0] * q[0] + n[1] * q[1] == h0 for q in cell) == k
+        ]
+        lo, hi = lo + min(sides), hi + max(sides)
+    return lo <= 0 <= hi
 
 
 def weil_divisor(dp: DivisorialPolytope) -> TWeilDivisor:
@@ -323,13 +304,6 @@ class GradedSections:
     @property
     def total_dim(self) -> int:
         return sum(p.dim for p in self.pieces)
-
-    def piece_at(self, u) -> GradedPiece:
-        key = tuple(int(c) for c in (u if not isinstance(u, int) else (u,)))
-        for p in self.pieces:
-            if p.u == key:
-                return p
-        raise KeyError(f"no graded piece at {key}")
 
 
 def graded_sections(dp: DivisorialPolytope) -> GradedSections:

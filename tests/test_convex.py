@@ -19,7 +19,6 @@ from tcodes.convex import (
     Facet,
     Point,
     _cross,
-    clip_segment,
     convex_hull_2d,
     floor_sum_over_lattice,
     hull_contains,
@@ -76,13 +75,6 @@ def test_hexagon_polytope():
     assert hexa.contains((0, 0)) and not hexa.contains((1, 1))
     assert hexa.scale(2).volume() == 12
     assert hexa.minkowski(hexa) == hexa.scale(2)
-
-
-def test_clip_segment():
-    hexa = hexagon().vertex_points()
-    got = clip_segment(hexa, (Fraction(-2), Fraction(0)), (Fraction(2), Fraction(0)))
-    assert got == (Fraction(1, 4), Fraction(3, 4))
-    assert clip_segment(hexa, (Fraction(5), Fraction(5)), (Fraction(6), Fraction(5))) is None
 
 
 def test_envelope_1d():

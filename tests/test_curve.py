@@ -32,6 +32,10 @@ E7 = Curve.elliptic(7, 0, 3)
 L7 = Curve.p1(7)
 
 
+def effective(D: Divisor) -> bool:
+    return all(c >= 0 for c in D.coeffs.values())
+
+
 def x_coord(curve: Curve) -> FunctionFieldElement:
     return FunctionFieldElement(curve, Poly([0, 1], curve.p), Poly([], curve.p), Poly([1], curve.p))
 
@@ -210,7 +214,7 @@ def test_riemann_roch_membership():
             continue
         for f in riemann_roch_basis(E7, D):
             div_f = divisor_of(E7, f, pts)
-            assert (div_f + D).is_effective()
+            assert effective(div_f + D)
 
 
 def test_divisor_arithmetic():
@@ -223,8 +227,8 @@ def test_divisor_arithmetic():
     half = D.scale(Fraction(1, 2))
     assert not half.is_integral()
     assert half.floor() == Divisor({P: 1, INFINITY: -1})
-    assert not D.is_effective()
-    assert Divisor({P: 2}).is_effective()
+    assert not effective(D)
+    assert effective(Divisor({P: 2}))
 
 
 def test_leading_coefficient_rejects_points_off_the_curve():
@@ -616,7 +620,7 @@ def test_riemann_roch_raw_basis_matches_reference(curve):
         basis = riemann_roch_basis(curve, D)
         assert basis == want, D
         for f in basis:
-            assert (divisor_of(curve, f, curve.rational_points()) + D).is_effective()
+            assert effective(divisor_of(curve, f, curve.rational_points()) + D)
 
 
 @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")

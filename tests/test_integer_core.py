@@ -2,16 +2,16 @@
 
 Mixed denominators (1/3 with 1/7 and 1/21), numerators near 10^12 and
 negative coordinates, on point, segment, collinear and polygon inputs in
-both dimensions. The oracles compute in `Fraction`: the former hull,
-containment and clipping below, and the plane search, reference queries
-and pairwise-sum sup-convolution of `tests/test_convex.py`.
+both dimensions. The oracles compute in `Fraction`: the former hull and
+containment below, and the plane search, reference queries and
+pairwise-sum sup-convolution of `tests/test_convex.py`.
 """
 
 import random
 from fractions import Fraction
 
 from tcodes import ConcavePL
-from tcodes.convex import clip_segment, convex_hull_2d, hull_contains, make_point
+from tcodes.convex import convex_hull_2d, hull_contains, make_point
 
 from test_convex import (
     assert_sup_matches_reference,
@@ -61,25 +61,6 @@ def fraction_hull_contains(hull, p):
             return False
         return all(min(a[i], b[i]) <= p[i] <= max(a[i], b[i]) for i in range(2))
     return all(orientation(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull)))
-
-
-def fraction_clip_segment(hull, q0, q1):
-    tmin, tmax = Fraction(0), Fraction(1)
-    d = (q1[0] - q0[0], q1[1] - q0[1])
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        base = orientation(a, b, q0)
-        slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
-        if slope == 0:
-            if base < 0:
-                return None
-        elif slope > 0:
-            tmin = max(tmin, -base / slope)
-        else:
-            tmax = min(tmax, -base / slope)
-    if tmin > tmax:
-        return None
-    return tmin, tmax
 
 
 def assert_envelope_1d(f, points):
@@ -169,9 +150,6 @@ def test_integer_core_matches_the_fraction_code():
             assert hull == fraction_hull(positions)
             for p in positions + [make_point(q) for q in probes(rng, f, dv)]:
                 assert hull_contains(hull, p) == fraction_hull_contains(hull, p)
-            if len(hull) >= 3:
-                q0, q1 = rng.choice(positions), rng.choice(probes(rng, f, dv))
-                assert clip_segment(hull, q0, q1) == fraction_clip_segment(hull, q0, q1)
         pool[f.m].append(f)
         shapes.add((f.m, min(len(dv), 3), f.had_collinear))
     assert shapes >= {(1, 1, False), (1, 2, False), (1, 2, True), (2, 1, False), (2, 2, False), (2, 2, True), (2, 3, False), (2, 3, True)}

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -32,6 +32,8 @@ from tcodes import (
     volume,
     weil_divisor,
 )
+from tcodes.convex import convex_hull_2d, hull_contains, make_point
+from tcodes.tvariety import RayTerm, TWeilDivisor, VertexTerm
 from tcodes.instances import (
     HEXAGON_VERTICES,
     marked_point_pair,
@@ -138,11 +140,100 @@ def test_weil_divisor_threefold():
     }
 
 
+def reference_clip_segment(hull, q0, q1):
+    """Parameter range [tmin, tmax] of {q0 + t(q1-q0) : 0 <= t <= 1} inside
+    a counterclockwise polygon, in `Fraction`s."""
+    tmin, tmax = Fraction(0), Fraction(1)
+    d = (q1[0] - q0[0], q1[1] - q0[1])
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        base = (b[0] - a[0]) * (q0[1] - a[1]) - (b[1] - a[1]) * (q0[0] - a[0])
+        slope = (b[0] - a[0]) * d[1] - (b[1] - a[1]) * d[0]
+        if slope == 0:
+            if base < 0:
+                return None
+        elif slope > 0:
+            tmin = max(tmin, -base / slope)
+        else:
+            tmax = min(tmax, -base / slope)
+    if tmin > tmax:
+        return None
+    return tmin, tmax
+
+
+def min_face(dp, n):
+    """The box vertices minimizing the pairing with n."""
+    vals = [sum(c * w for c, w in zip(v, n)) for v in dp.box.vertices]
+    return [v for v, val in zip(dp.box.vertices, vals) if val == min(vals)]
+
+
+def reference_tail_gradients(dp, s, n):
+    """The former tail piece: gradients of the cells holding the minimizing
+    vertex, or meeting the minimizing edge in a segment of positive length."""
+    face = min_face(dp, n)
+    grads = []
+    if len(face) == 1:
+        target = make_point(face[0])
+        for g, _, cell in s.facets():
+            if hull_contains(list(cell), target):
+                grads.append(g)
+    else:
+        q0, q1 = make_point(face[0]), make_point(face[1])
+        for g, _, cell in s.facets():
+            span = reference_clip_segment(list(cell), q0, q1)
+            if span is not None and span[0] < span[1]:
+                grads.append(g)
+    return grads
+
+
+def reference_ray_meets_degree(dp, n):
+    """The former degree test: the hull of the summed tail pieces against
+    the span of the ray."""
+    if dp.m == 1:
+        return True
+    total = [make_point((0, 0))]
+    for s in dp.slices.values():
+        grads = reference_tail_gradients(dp, s, n)
+        if not grads:
+            continue
+        total = convex_hull_2d([tuple(a + b for a, b in zip(t, g)) for t in total for g in grads])
+    sides = [n[0] * k[1] - n[1] * k[0] for k in total]
+    return not (all(sd > 0 for sd in sides) or all(sd < 0 for sd in sides))
+
+
+def reference_weil_divisor(dp):
+    ray_terms = []
+    for n in dp.box.rays():
+        h0 = min(sum(c * w for c, w in zip(v, n)) for v in dp.box.vertices)
+        ray_terms.append(RayTerm(n, Fraction(-h0), reference_ray_meets_degree(dp, n)))
+    vertex_terms = []
+    for P in dp.stored_points():
+        for g, c in dp.slices[P].cells():
+            vertex_terms.append(VertexTerm(P, g, lcm(*(x.denominator for x in g)) * c))
+    vertex_terms.sort(key=lambda t: (t.point.sort_key(), t.v))
+    return TWeilDivisor(ray_terms, vertex_terms)
+
+
+def test_weil_divisor_matches_the_former_ray_test():
+    rng = random.Random(1400)
+    shapes = [[(0, 0), (2, 0), (0, 2)], [(0, 0), (1, 0), (1, 1), (0, 1)], HEXAGON_VERTICES]
+    fiber = point_divisor_dual(THREEFOLD.curve, CurvePoint.affine(3, 0, 7), m=2)
+    dps = [THREEFOLD, THREEFOLD.scale(2), THREEFOLD.add(THREEFOLD), THREEFOLD.add(fiber)]
+    polygons = [folded_polygon_dp(rng, shapes[i % 3]) for i in range(60)]
+    dps += polygons + [rng.choice(polygons).add(rng.choice(polygons)) for _ in range(20)]
+    seen = set()
+    for dp in dps:
+        w = weil_divisor(dp)
+        assert w == reference_weil_divisor(dp), dp
+        assert w.render() == reference_weil_divisor(dp).render()
+        seen.update((t.meets_degree, len(min_face(dp, t.ray))) for t in w.ray_terms)
+    assert seen == {(True, 1), (True, 2), (False, 1), (False, 2)}
+
+
 def test_graded_sections_dimensions():
     gs = graded_sections(SURFACE)
     assert [p.dim for p in gs.pieces] == [1, 1, 3, 2, 1]
     assert gs.total_dim == 8
-    assert gs.piece_at((2,)).dim == 3
+    assert next(p.dim for p in gs.pieces if p.u == (2,)) == 3
 
     gs3 = graded_sections(THREEFOLD)
     dims = {p.u: p.dim for p in gs3.pieces}
