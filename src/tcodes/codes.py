@@ -492,17 +492,35 @@ def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:
     return min(nonzero)
 
 
-TABLE_CAP = 1 << 19  # elements in the split table and in each batch of compares
+TABLE_CAP = 1 << 19  # elements in the split table, in a batch of targets and in a batch of compares
 
 
-def _span_words(rows: np.ndarray, start: int, count: int, p: int) -> np.ndarray:
-    """Words of messages start .. start+count-1 over rows, read in base p (last row lowest)."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    words = np.zeros((count, rows.shape[1]), dtype=np.int64)
-    for row in rows[::-1]:
-        words = (words + (idx % p)[:, None] * row) % p
-        idx //= p
-    return words
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Unsigned a < 2p reduced mod p in place: a - p wraps above a where a < p."""
+    return np.minimum(a, a - p, out=a)
+
+
+def _span(rows: np.ndarray, p: int) -> np.ndarray:
+    """Words of all p^s messages over the s rows, one column per word.
+
+    Column m is message m read in base p, last row lowest. p-ary doubling:
+    each row, from the last up, adds its p multiples to the block built so
+    far with one broadcast add and one conditional subtract of p, in the
+    smallest unsigned dtype holding 2p - 2; the block comes back in the one
+    holding p - 1. The multiples of all rows double the same way, c + m
+    adding m * row, so no pass divides.
+    """
+    s, n = rows.shape
+    wide = np.min_scalar_type(2 * p - 2)
+    multiples, add, m = np.zeros((s, n, p), dtype=wide), rows.astype(wide)[:, :, None], 1
+    while s and m < p:
+        c = min(m, p - m)
+        _reduce(np.add(multiples[:, :, :c], add, out=multiples[:, :, m : m + c]), p)
+        add, m = _reduce(add + add, p), 2 * m
+    block = np.zeros((n, 1), dtype=wide)
+    for row_multiples in multiples[::-1]:
+        block = _reduce((row_multiples[:, :, None] + block[:, None, :]).reshape(n, -1), p)
+    return block.astype(np.min_scalar_type(p - 1), copy=False)
 
 
 def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int, int]:
@@ -511,10 +529,21 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     Exhausts the (p^k - 1)/(p - 1) projective classes of the k independent
     rows at O(n) byte compares each; past `budget` classes, BudgetExceeded.
     A split table holds the words spanned by the last r rows (r largest with
-    p^r * n <= TABLE_CAP) in the smallest unsigned dtype holding p - 1. A
-    prefix word w plus table word t vanishes at column j iff t_j = -w_j, so
-    one compare-and-count against the table weighs all p^r extensions of w.
-    No array holds more than max(TABLE_CAP, n) elements, whatever p is.
+    p^r * n <= TABLE_CAP), one column per word. A prefix word w plus table
+    word t vanishes at column j iff t_j = -w_j, so one compare-and-count
+    against the table weighs all p^r extensions of w.
+
+    Chunk f holds the prefixes led by a 1 on row k - r - 1 - f. Their
+    negated words are high words over the rows above the lowest s, from
+    message numbers in int64 reduced mod p after every row, plus the low
+    block of all p^s words of the lowest s rows (s <= f largest with
+    p^s * n <= TABLE_CAP; s = 0 for a large p, whose high numbers then run
+    in batches). One add builds the targets of a batch of high numbers; they
+    meet the table TABLE_CAP // (p^r * n) at a time in one reused bool
+    buffer, and each compare is counted and binned at once. Table and low
+    block come from p-ary doubling (`_span`) in the smallest unsigned dtype
+    holding p - 1, which the targets share. No array holds more than
+    max(TABLE_CAP, n) elements, whatever p is.
     """
     rows = [generator.rows[i] for i in generator.independent_row_indices()]
     p, n, k = generator.p, generator.ncols, len(rows)
@@ -525,17 +554,33 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     r = 0
     while r < k and p ** (r + 1) * n <= TABLE_CAP:
         r += 1
-    dtype = np.min_scalar_type(p - 1)
-    table = _span_words(G[k - r :], 0, p**r, p).T.astype(dtype, order="C")
+    table = _span(G[k - r :], p)
     counts = np.bincount(np.count_nonzero(table, axis=0), minlength=n + 1) // (p - 1)
-    batch = max(1, TABLE_CAP // max(1, p**r * n))
+    s = 0
+    while s < k - r - 1 and p ** (s + 1) * n <= TABLE_CAP:
+        s += 1
     neg = -G[: k - r] % p
-    # Prefixes led by a 1 on row k - r - 1 - f are the message numbers p^f .. 2p^f - 1.
+    low = np.ascontiguousarray(_span(neg[k - r - s :], p).T)
+    wide = np.min_scalar_type(2 * p - 2)
+    batch = max(1, TABLE_CAP // max(1, p**r * n))
+    equal = np.empty((batch, n, p**r), dtype=bool)
     for f in range(k - r):
-        for start in range(p**f, 2 * p**f, batch):
-            target = _span_words(neg, start, min(batch, 2 * p**f - start), p).astype(dtype)
-            zeros = (table == target[:, :, None]).sum(axis=1, dtype=np.min_scalar_type(n))
-            counts += np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+        t = min(f, s)
+        step = max(1, TABLE_CAP // (p**t * n))
+        # High numbers p^(f-t) .. 2p^(f-t) - 1 over rows k - r - 1 - f .. k - r - 1 - t.
+        for start in range(p ** (f - t), 2 * p ** (f - t), step):
+            idx = np.arange(start, min(start + step, 2 * p ** (f - t)), dtype=np.int64)
+            high = np.zeros((len(idx), n), dtype=np.int64)
+            for row in neg[k - r - 1 - f : k - r - t][::-1]:
+                high = (high + (idx % p)[:, None] * row) % p
+                idx //= p
+            targets = _reduce((high.astype(wide)[:, None, :] + low[: p**t]).reshape(-1, n), p)
+            targets = targets.astype(table.dtype, copy=False)
+            for i in range(0, len(targets), batch):
+                hits = equal[: min(batch, len(targets) - i)]
+                np.equal(table, targets[i : i + len(hits), :, None], out=hits)
+                zeros = np.add.reduce(hits.view(np.uint8), axis=1, dtype=np.min_scalar_type(n))
+                counts += np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
     return {0: 1} | {w: int(c) * (p - 1) for w, c in enumerate(counts) if c and w > 0}
 
 

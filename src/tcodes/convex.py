@@ -77,13 +77,6 @@ def _hull(points: Iterable[IntPoint]) -> list[IntPoint]:
     return hull
 
 
-def convex_hull_2d(points: Iterable[Point]) -> list[Point]:
-    """`_hull` of exact points, given back as the input points themselves."""
-    pts = list(points)
-    back = dict(zip(_lift(pts)[1], pts))
-    return [back[q] for q in _hull(back)]
-
-
 def polygon_area2(hull: Sequence[Point]) -> Fraction:
     """Twice the signed area (positive for counterclockwise order)."""
     total = Fraction(0)
@@ -107,12 +100,6 @@ def _lattice_points(hull: Sequence[IntPoint], den: int = 1) -> list[tuple[int, .
     axes = [[c[i] for c in hull] for i in range(len(hull[0]))]
     box = product(*(range(-(-min(a) // den), max(a) // den + 1) for a in axes))
     return [u for u in box if _contains(hull, tuple(den * x for x in u))]
-
-
-def hull_contains(hull: Sequence[Point], p: Point) -> bool:
-    """Whether p lies in a hull as `convex_hull_2d` returns it."""
-    _, pts = _lift([*hull, p])
-    return _contains(pts[:-1], pts[-1])
 
 
 def _minkowski(p: Sequence[IntPoint], q: Sequence[IntPoint]) -> list[IntPoint]:
@@ -187,11 +174,9 @@ class LatticePolytope:
             raise ValueError(f"empty interval [{lo},{hi}]")
         return cls([(lo,), (hi,)])
 
-    def vertex_points(self) -> list[Point]:
-        return [make_point(v) for v in self.vertices]
-
     def contains(self, u: Sequence[int] | Sequence[Fraction]) -> bool:
-        return hull_contains(self.vertices, make_point(u))
+        den, [q] = _lift([make_point(u)])
+        return _contains([tuple(den * c for c in v) for v in self.vertices], q)
 
     def bounds(self, axis: int = 0) -> tuple[int, int]:
         vals = [v[axis] for v in self.vertices]

@@ -18,10 +18,11 @@ from tcodes.algebra import rational_ceil, rational_floor
 from tcodes.convex import (
     Facet,
     Point,
+    _contains,
     _cross,
-    convex_hull_2d,
+    _hull,
+    _lift,
     floor_sum_over_lattice,
-    hull_contains,
     make_point,
     polygon_area2,
     primitive_vector,
@@ -35,6 +36,20 @@ S2_GRAPH = [(0, 0), (2, 2), (3, 1), (4, -1)]
 
 def hexagon() -> LatticePolytope:
     return LatticePolytope(HEXAGON_VERTICES)
+
+
+def convex_hull_2d(points):
+    """The library's integer hull of exact points, given back as the input points."""
+    pts = list(points)
+    back = dict(zip(_lift(pts)[1], pts))
+    return [back[q] for q in _hull(back)]
+
+
+def hull_contains(hull, p):
+    """The library's integer containment test on exact points: whether p
+    lies in a hull as `convex_hull_2d` returns it."""
+    _, pts = _lift([*hull, p])
+    return _contains(pts[:-1], pts[-1])
 
 
 def test_convex_hull_and_area():
@@ -156,7 +171,7 @@ def test_envelope_2d():
     assert f.evaluate((0, 0)) == 0
     assert f.evaluate((Fraction(1, 2), Fraction(-1, 2))) == Fraction(-1, 2)
     assert f.evaluate((Fraction(1, 2), Fraction(1, 2))) == 0
-    assert set(f.domain_vertices()) == set(hexagon().vertex_points())
+    assert set(f.domain_vertices()) == {make_point(v) for v in hexagon().vertices}
     assert f.try_evaluate((2, 2)) is None
     assert sorted(f.domain_lattice_points()) == sorted(hexagon().lattice_points())
     grid = [(x, y) for x in range(3) for y in range(3)]

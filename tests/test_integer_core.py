@@ -11,13 +11,15 @@ import random
 from fractions import Fraction
 
 from tcodes import ConcavePL
-from tcodes.convex import convex_hull_2d, hull_contains, make_point
+from tcodes.convex import make_point
 
 from test_convex import (
     assert_sup_matches_reference,
+    convex_hull_2d,
     crossed,
     flag_by_definition,
     graph_reps,
+    hull_contains,
     reference_domain,
     reference_facets,
     reference_integral,

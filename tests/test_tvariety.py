@@ -32,7 +32,7 @@ from tcodes import (
     volume,
     weil_divisor,
 )
-from tcodes.convex import convex_hull_2d, hull_contains, make_point
+from tcodes.convex import make_point
 from tcodes.tvariety import RayTerm, TWeilDivisor, VertexTerm
 from tcodes.instances import (
     HEXAGON_VERTICES,
@@ -42,6 +42,8 @@ from tcodes.instances import (
     threefold_example,
     toric_comparison_example,
 )
+
+from test_convex import convex_hull_2d, hull_contains
 
 E7 = standard_elliptic()
 Q1, Q2 = marked_point_pair(E7)
