@@ -153,6 +153,17 @@ def _horner(polys: list[Poly], xs: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of int64 residues by Fermat, a^(p-2) by squaring (0
+    stays 0). With p < 2^31 no product leaves int64."""
+    out, base, e = np.ones_like(a), a, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base, e = base * base % p, e >> 1
+    return out
+
+
 def _section_values(
     setup: EvaluationSetup, sections: list[FunctionFieldElement], ks: np.ndarray, at: np.ndarray | None = None
 ) -> np.ndarray:
@@ -180,14 +191,7 @@ def _section_values(
         num = (_horner([f.a for f in sections], xs, p) + _horner([f.b for f in sections], xs, p) * ys) % p
         den = _horner([f.c for f in sections], xs, p)
         regular = batched & (den != 0) & (ks >= 0)
-        # 1/c by Fermat, c^(p-2), squaring in int64.
-        inv, power, e = np.ones_like(den), den, p - 2
-        while e:
-            if e & 1:
-                inv = inv * power % p
-            power = power * power % p
-            e >>= 1
-        values = np.where(regular & (ks == 0), num * inv % p, 0)
+        values = np.where(regular & (ks == 0), num * _inverse(den, p) % p, 0)
     for s, j in zip(*np.nonzero(~regular)):
         values[s, j] = twisted_evaluate(setup.curve, sections[s], setup.points[at[j]], int(ks[s, j]))
     return values
@@ -523,6 +527,80 @@ def _span(rows: np.ndarray, p: int) -> np.ndarray:
     return block.astype(np.min_scalar_type(p - 1), copy=False)
 
 
+def _diagonal_group(G: np.ndarray, p: int) -> np.ndarray:
+    """Diagonal automorphisms of the code of G modulo scalars, one row d per
+    element with d_0 = 1, the identity first.
+
+    d belongs when diag(d) G has the same multiset of projective columns as
+    G, so x -> x * d keeps every weight. It maps a full-support column c to
+    a multiple of another, c_j, so the candidates are c_j / c over the
+    distinct normalized c_j, and no full-support column means no group.
+    Columns are compared as int64 codes, digit i the normalized entry on
+    row i. A candidate must move up to 8 of those c_j onto columns of G,
+    and then the sorted codes of all its moved columns must equal G's.
+    TABLE_CAP // (8 n) candidates (at least one) go at a time.
+    """
+    k, n = G.shape
+    lead = np.where(G != 0, np.arange(k)[:, None], k - 1).min(axis=0)
+    N = G * _inverse(G[lead, np.arange(n)], p) % p
+    codes = (p ** np.arange(k - 1, -1, -1, dtype=np.int64) @ N).tolist()
+    want, members = sorted(codes), set(codes)
+    full = {c: j for j, (c, s) in enumerate(zip(codes, (G != 0).all(axis=0).tolist())) if s}
+    if not full:
+        return np.ones((1, k), dtype=np.int64)
+    full = [full[c] for c in sorted(full)]
+
+    def moved(d: np.ndarray, cols: list[int] | slice) -> np.ndarray:
+        """Codes of the normalized columns cols of diag(d) G, one row per d."""
+        scale = _inverse(d, p)[:, lead[cols]]
+        out, digit = np.zeros_like(scale), np.empty_like(scale)
+        for row in range(k):
+            np.multiply(N[row, cols], d[:, row, None], out=digit)
+            digit %= p
+            digit *= scale
+            digit %= p
+            out *= p
+            out += digit
+        return out
+
+    step = max(1, TABLE_CAP // (8 * n))
+    group = []
+    for i in range(0, len(full), step):
+        d = N[:, full[i : i + step]].T * _inverse(N[:, full[0]], p) % p
+        d = d[[members.issuperset(c) for c in map(np.ndarray.tolist, moved(d, full[:: -(-len(full) // 8)]))]]
+        group.append(d[[sorted(c) == want for c in map(np.ndarray.tolist, moved(d, slice(None)))]])
+    return np.concatenate(group)
+
+
+def _representatives(
+    multiples: list[np.ndarray], low: np.ndarray, numbers: np.ndarray, p: int, chunk: int
+) -> list[tuple[int, np.ndarray]]:
+    """The targets of a batch whose code is their own number, as (orbit
+    size, target indices) pairs.
+
+    Target a * p^t + b is high number numbers[a] followed by low number b.
+    Row i of multiples[j] maps a digit x in the high number's p^j place to
+    the code of x * h_i there, and row i of `low` holds the codes of the low
+    numbers under h_i, h_0 the identity; a code drops the lead digit. The
+    least code is taken over `chunk` multipliers at a time.
+    """
+    high = np.zeros((len(low), len(numbers)), dtype=low.dtype)
+    for table_j in multiples:
+        high += table_j[:, numbers % p]
+        numbers = numbers // p
+    least = (high[0, :, None] + low[0]).ravel()
+    own = least.copy()
+    codes = np.empty((min(chunk, len(low) - 1), len(numbers), low.shape[1]), dtype=low.dtype)
+    for i in range(1, len(low), chunk):
+        part = codes[: len(low) - i]
+        np.add(high[i : i + chunk, :, None], low[i : i + chunk, None, :], out=part)
+        np.minimum(least, part.reshape(len(part), -1).min(axis=0), out=least)
+    keep = np.flatnonzero(least == own)
+    a, b = np.divmod(keep, low.shape[1])
+    orbit = len(low) // np.count_nonzero(high[:, a] + low[:, b] == own[keep], axis=0)
+    return [(size, keep[orbit == size]) for size in sorted(set(orbit.tolist()))]
+
+
 def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int, int]:
     """Weight distribution of the full code (including the zero word).
 
@@ -534,16 +612,40 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     against the table weighs all p^r extensions of w.
 
     Chunk f holds the prefixes led by a 1 on row k - r - 1 - f. Their
-    negated words are high words over the rows above the lowest s, from
+    negated words are high words over the rows above the lowest t, from
     message numbers in int64 reduced mod p after every row, plus the low
-    block of all p^s words of the lowest s rows (s <= f largest with
-    p^s * n <= TABLE_CAP; s = 0 for a large p, whose high numbers then run
-    in batches). One add builds the targets of a batch of high numbers; they
-    meet the table TABLE_CAP // (p^r * n) at a time in one reused bool
-    buffer, and each compare is counted and binned at once. Table and low
-    block come from p-ary doubling (`_span`) in the smallest unsigned dtype
-    holding p - 1, which the targets share. No array holds more than
-    max(TABLE_CAP, n) elements, whatever p is.
+    block of all p^t words of the lowest t rows (t <= min(f, s), s largest
+    with p^s * n <= TABLE_CAP below k - r; t = 0 for a large p, whose high
+    numbers then run in batches). One add builds the targets of a batch of
+    high numbers; they meet the table TABLE_CAP // (p^r * n) at a time in
+    one reused bool buffer, and each compare is counted and binned at once.
+    Table and low block come from p-ary doubling (`_span`) in the smallest
+    unsigned dtype holding p - 1, which the targets share.
+
+    Prefixes are weighed once per orbit of the code's diagonal automorphism
+    group (`_diagonal_group`). The torus scales a row of weight u by t^u,
+    which only permutes the columns of each point, so every T-code has one.
+    The group keeps every weight, and scaling the table rows permutes the
+    table, so a prefix and its images carry the same p^r weights. It is
+    searched when there is more than one prefix class, n * k <= classes and
+    p^k < 2^62. Rows whose column of the group is new come first, so the
+    prefix rows see most of the group. On chunk f it acts by the g distinct
+    multipliers h of the rows below the lead over the lead's. A prefix's
+    code is the least of its message numbers, lead dropped, with the digits
+    scaled by each h: g high codes per high number plus the g * p^t codes of
+    the low block, from per-row tables of h * digit * p^j in the smallest
+    dtype holding p^f - 1. Only the targets whose code is their own number
+    are built and weighed, each counted g / #{h fixing it} times, in exact
+    integers per orbit size. A chunk with g = 1 weighs all its targets.
+
+    Besides G, no array holds more than max(TABLE_CAP, n) elements of the
+    targets' dtypes or max(TABLE_CAP, 8 n) bytes, whatever p is. The group
+    search and the multiple tables stay within the bytes (a chunk whose
+    tables would not takes g = 1), the low codes within the low block (t
+    shrinks) and a batch's codes within its targets (the least code is
+    taken over n * itemsize(wide) // itemsize(code) multipliers at a
+    time), so the orbit path needs no more memory than weighing every
+    target.
     """
     rows = [generator.rows[i] for i in generator.independent_row_indices()]
     p, n, k = generator.p, generator.ncols, len(rows)
@@ -554,6 +656,12 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     r = 0
     while r < k and p ** (r + 1) * n <= TABLE_CAP:
         r += 1
+    group = np.ones((1, k), dtype=np.int64)
+    if k - r > 1 and n * k <= classes and p**k < 2**62:
+        group = _diagonal_group(G, p)
+    characters = [tuple(c) for c in group.T.tolist()]
+    order = sorted(range(k), key=lambda i: characters.index(characters[i]) < i)
+    G, group = G[order], group[:, order]
     table = _span(G[k - r :], p)
     counts = np.bincount(np.count_nonzero(table, axis=0), minlength=n + 1) // (p - 1)
     s = 0
@@ -564,23 +672,47 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     wide = np.min_scalar_type(2 * p - 2)
     batch = max(1, TABLE_CAP // max(1, p**r * n))
     equal = np.empty((batch, n, p**r), dtype=bool)
+    inverse = _inverse(group, p)
     for f in range(k - r):
-        t = min(f, s)
+        lead, t = k - r - 1 - f, min(f, s)
         step = max(1, TABLE_CAP // (p**t * n))
-        # High numbers p^(f-t) .. 2p^(f-t) - 1 over rows k - r - 1 - f .. k - r - 1 - t.
+        # Digit j of an h code is h - 1 on row k - r - 1 - j, so the identity is 0.
+        h = (group[:, k - r - 1 : lead : -1] * inverse[:, lead, None] - 1) % p
+        h = np.array(sorted(set((h @ p ** np.arange(f, dtype=np.int64)).tolist())))[:, None]
+        code = np.min_scalar_type(p**f - 1)
+        g = len(h) if len(h) * p * code.itemsize <= max(TABLE_CAP, 8 * n) else 1
+        if g > 1:
+            multiples = [((h // p**j % p + 1) * np.arange(p) % p * p**j).astype(code) for j in range(f)]
+            while t and g * p**t * code.itemsize > low.nbytes:
+                t -= 1
+            step = max(1, TABLE_CAP // (p**t * n))
+            chunk = max(1, n * wide.itemsize // code.itemsize)
+            low_code = np.zeros((g, 1), dtype=code)
+            for table_j in reversed(multiples[:t]):
+                low_code = (low_code[:, :, None] + table_j[:, None, :]).reshape(g, -1)
+        # High numbers p^(f-t) .. 2p^(f-t) - 1 over rows lead .. k - r - 1 - t.
         for start in range(p ** (f - t), 2 * p ** (f - t), step):
             idx = np.arange(start, min(start + step, 2 * p ** (f - t)), dtype=np.int64)
             high = np.zeros((len(idx), n), dtype=np.int64)
-            for row in neg[k - r - 1 - f : k - r - t][::-1]:
+            for row in neg[lead : k - r - t][::-1]:
                 high = (high + (idx % p)[:, None] * row) % p
                 idx //= p
-            targets = _reduce((high.astype(wide)[:, None, :] + low[: p**t]).reshape(-1, n), p)
-            targets = targets.astype(table.dtype, copy=False)
-            for i in range(0, len(targets), batch):
-                hits = equal[: min(batch, len(targets) - i)]
-                np.equal(table, targets[i : i + len(hits), :, None], out=hits)
-                zeros = np.add.reduce(hits.view(np.uint8), axis=1, dtype=np.min_scalar_type(n))
-                counts += np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
+            if g > 1:
+                high = high.astype(wide)
+                numbers = np.arange(start, start + len(high))
+                parts = [
+                    (size, _reduce(high[keep // p**t] + low[keep % p**t], p).astype(table.dtype, copy=False))
+                    for size, keep in _representatives(multiples[t:], low_code, numbers, p, chunk)
+                ]
+            else:
+                targets = _reduce((high.astype(wide)[:, None, :] + low[: p**t]).reshape(-1, n), p)
+                parts = [(1, targets.astype(table.dtype, copy=False))]
+            for size, part in parts:
+                for i in range(0, len(part), batch):
+                    hits = equal[: min(batch, len(part) - i)]
+                    np.equal(table, part[i : i + len(hits), :, None], out=hits)
+                    zeros = np.add.reduce(hits.view(np.uint8), axis=1, dtype=np.min_scalar_type(n))
+                    counts += size * np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
     return {0: 1} | {w: int(c) * (p - 1) for w, c in enumerate(counts) if c and w > 0}
 
 

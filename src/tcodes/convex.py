@@ -174,10 +174,6 @@ class LatticePolytope:
             raise ValueError(f"empty interval [{lo},{hi}]")
         return cls([(lo,), (hi,)])
 
-    def contains(self, u: Sequence[int] | Sequence[Fraction]) -> bool:
-        den, [q] = _lift([make_point(u)])
-        return _contains([tuple(den * c for c in v) for v in self.vertices], q)
-
     def bounds(self, axis: int = 0) -> tuple[int, int]:
         vals = [v[axis] for v in self.vertices]
         return min(vals), max(vals)

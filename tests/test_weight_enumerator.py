@@ -1,9 +1,14 @@
 """The split-table weight kernel against two oracles: the chunked-matmul
-enumerator it replaced, and its own former int64 form."""
+enumerator it replaced, and its own former int64 form, which weighs every
+prefix. The diagonal automorphism group behind the orbit path is checked
+against a brute-force search over all diagonal matrices."""
 
 import random
 import time
 import tracemalloc
+from collections import Counter
+from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -165,6 +170,14 @@ def test_every_table_split_matches_reference(monkeypatch, cap):
         r, s = spans
         seen |= chunk_shapes(p, len(gen.independent_row_indices()), n, r, s, cap)
     assert seen == SHAPES_AT_CAP[cap]
+    # The torus of a toric code acts on its prefixes at every split.
+    calls = []
+    representatives = codes._representatives
+    monkeypatch.setattr(codes, "_representatives", lambda *a: calls.append(1) or representatives(*a))
+    gen = toric_generator(5, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
+    enum = weight_enumerator(gen)
+    assert calls
+    assert enum == reference_weight_enumerator(gen) == reference_split_table_enumerator(gen)
 
 
 def test_wide_code_with_empty_split_matches_reference():
@@ -173,7 +186,7 @@ def test_wide_code_with_empty_split_matches_reference():
     assert weight_enumerator(gen) == reference_weight_enumerator(gen)
 
 
-def test_library_generators_match_reference():
+def library_generators() -> list[MatrixFp]:
     gens = [reed_solomon_generator(p, k) for p, k in [(7, 3), (11, 4), (13, 5), (101, 2)]]
     gens.append(kronecker_generator(reed_solomon_generator(7, 2), reed_solomon_generator(7, 3)))
     gens.append(kronecker_generator(reed_solomon_generator(5, 2), reed_solomon_generator(5, 2)))
@@ -182,29 +195,156 @@ def test_library_generators_match_reference():
     gens.append(toric_generator(7, [(0, 0), (1, 0), (0, 1), (6, 0), (1, 1), (0, 7), (2, 1)]))
     gens.append(toric_generator(5, [(0, 0), (1, 0), (0, 1), (4, 0), (1, 1), (0, 4)]))
     gens.append(build_code(surface_code_setup()).generator())
-    for gen in gens:
+    return gens
+
+
+def member_generators() -> list[MatrixFp]:
+    """The fixed members of the exact-distance benchmark round."""
+    members = [surface_code_setup(), toric_comparison_setup(7), toric_comparison_setup(11)]
+    return [build_code(setup).generator() for setup in members]
+
+
+def small_instance_generators(count: int = 30) -> list[MatrixFp]:
+    rng = random.Random(114)
+    gens = []
+    while len(gens) < count:
+        setup = small_code_instance(rng)
+        if setup is not None:
+            gens.append(build_code(setup).generator())
+    return gens
+
+
+def test_library_generators_match_reference():
+    for gen in library_generators():
         assert weight_enumerator(gen) == reference_weight_enumerator(gen)
 
 
 def test_exact_distance_members_match_former_kernel():
-    # The fixed members of the exact-distance benchmark round.
-    members = [surface_code_setup(), toric_comparison_setup(7), toric_comparison_setup(11)]
-    for setup, (n, k) in zip(members, [(66, 8), (36, 7), (100, 7)]):
-        gen = build_code(setup).generator()
+    for gen, (n, k) in zip(member_generators(), [(66, 8), (36, 7), (100, 7)]):
         assert (gen.ncols, len(gen.independent_row_indices())) == (n, k)
         assert weight_enumerator(gen) == reference_split_table_enumerator(gen)
 
 
 def test_small_code_instances_match_reference():
-    rng = random.Random(114)
-    checked = 0
-    while checked < 30:
-        setup = small_code_instance(rng)
-        if setup is None:
-            continue
-        gen = build_code(setup).generator()
+    for gen in small_instance_generators():
         assert weight_enumerator(gen) == reference_weight_enumerator(gen)
-        checked += 1
+
+
+def independent_rows(gen: MatrixFp) -> np.ndarray:
+    return np.array([gen.rows[i] for i in gen.independent_row_indices()], dtype=np.int64)
+
+
+def group_of(gen: MatrixFp) -> set[tuple[int, ...]]:
+    return set(map(tuple, codes._diagonal_group(independent_rows(gen), gen.p).tolist()))
+
+
+def projective_columns(rows: list[list[int]], p: int) -> Counter:
+    """The multiset of columns, each divided by its first nonzero entry."""
+    out = Counter()
+    for col in zip(*rows):
+        inv = pow(next((x for x in col if x), 1), -1, p)
+        out[tuple(x * inv % p for x in col)] += 1
+    return out
+
+
+def brute_force_group(gen: MatrixFp) -> set[tuple[int, ...]]:
+    """Every diagonal d with d_0 = 1 whose diag(d) G has the projective
+    columns of G, tried one by one."""
+    p, rows = gen.p, independent_rows(gen).tolist()
+    want = projective_columns(rows, p)
+    return {
+        d
+        for d in ((1, *rest) for rest in product(range(1, p), repeat=len(rows) - 1))
+        if projective_columns([[x * di % p for x in row] for row, di in zip(rows, d)], p) == want
+    }
+
+
+def assert_group(group: set[tuple[int, ...]], p: int) -> None:
+    assert tuple(1 for _ in next(iter(group))) in group
+    for a, b in product(group, repeat=2):
+        assert tuple(x * y % p for x, y in zip(a, b)) in group
+
+
+def test_diagonal_group_matches_brute_force():
+    gens = [reed_solomon_generator(p, k) for p in (5, 7) for k in (2, 3, 4)]
+    gens += [
+        toric_generator(5, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+        toric_generator(7, [(0, 0), (1, 0), (0, 1)]),
+        toric_generator(7, [(0, 0), (2, 0), (0, 3), (1, 1)]),
+        toric_generator(7, [(0,), (2,), (3,)]),
+        kronecker_generator(reed_solomon_generator(5, 2), reed_solomon_generator(5, 2)),
+    ]
+    gens += [g for g in small_instance_generators(60) if g.p == 5 and len(g.independent_row_indices()) <= 4]
+    orders = set()
+    for gen in gens:
+        group = group_of(gen)
+        assert group == brute_force_group(gen), gen.rows
+        assert_group(group, gen.p)
+        orders.add(len(group))
+    # Trivial and nontrivial groups both occur.
+    assert 1 in orders and max(orders) >= 16
+
+
+def test_diagonal_group_of_torus_codes():
+    group = group_of(build_code(toric_comparison_setup(11)).generator())
+    assert len(group) == 100
+    assert_group(group, 11)
+    # Interval T-codes (m = 1): a row of weight u scales by t^u, so a weight
+    # difference prime to q - 1 embeds the torus F_q^* in the group.
+    for setup in [surface_code_setup(), toric_comparison_setup(7)]:
+        code = build_code(setup)
+        q, weights = setup.q, [code.row_labels[i][0][0] for i in code.selected]
+        assert setup.m == 1 and any(gcd(u - weights[0], q - 1) == 1 for u in weights)
+        assert len(group_of(code.generator())) % (q - 1) == 0
+
+
+# (generators, of which at least this many take the orbit path) at each cap.
+# A smaller cap leaves more prefix rows for the group to act on; there only
+# the codes of at most 20,000 message classes run, 38 of the 43.
+DEFAULT_CAP = codes.TABLE_CAP
+ORBIT_RUNS_AT_CAP = {DEFAULT_CAP: (43, 6), 512: (38, 25)}
+
+
+@pytest.mark.parametrize("cap", ORBIT_RUNS_AT_CAP)
+def test_orbit_path_matches_both_references(monkeypatch, cap):
+    monkeypatch.setattr(codes, "TABLE_CAP", cap)
+    calls = []
+    representatives = codes._representatives
+    monkeypatch.setattr(codes, "_representatives", lambda *a: calls.append(1) or representatives(*a))
+    gens = library_generators() + member_generators() + small_instance_generators()
+    if cap < DEFAULT_CAP:
+        gens = [g for g in gens if g.p ** len(g.independent_row_indices()) <= 20_000 * (g.p - 1)]
+    count, least = ORBIT_RUNS_AT_CAP[cap]
+    assert len(gens) == count
+    orbit = 0
+    for gen in gens:
+        calls.clear()
+        enum = weight_enumerator(gen)
+        assert enum == reference_split_table_enumerator(gen)
+        if gen.ncols < 100:
+            assert enum == reference_weight_enumerator(gen)
+        orbit += bool(calls)
+    assert orbit >= least
+
+
+def test_orbit_path_is_invariant_under_monomial_maps():
+    rng = random.Random(16)
+    for gen in library_generators() + member_generators() + small_instance_generators(10):
+        p, n = gen.p, gen.ncols
+        perm = rng.sample(range(n), n)
+        scales = [rng.randrange(1, p) for _ in range(n)]
+        other = MatrixFp([[row[j] * c % p for j, c in zip(perm, scales)] for row in gen.rows], p)
+        assert weight_enumerator(other) == weight_enumerator(gen)
+        assert len(group_of(other)) == len(group_of(gen))
+
+
+def test_trivial_group_weighs_every_target(monkeypatch):
+    monkeypatch.setattr(codes, "_representatives", lambda *a: pytest.fail("orbit path on a trivial group"))
+    rng = random.Random(3)
+    for p, k, n in [(5, 5, 30), (7, 4, 40), (11, 4, 20)]:
+        gen = random_generator(rng, p, k, n)
+        assert group_of(gen) == {(1,) * len(gen.independent_row_indices())}
+        assert weight_enumerator(gen) == reference_split_table_enumerator(gen)
 
 
 def _bounded_run(gen: MatrixFp) -> dict[int, int]:
@@ -230,6 +370,11 @@ def test_large_prime_two_dimensional_code(n):
     enum = _bounded_run(gen)
     assert sum(enum.values()) == p**2
     assert enum == reference_weight_enumerator(gen)
+
+
+def test_largest_exact_distance_member_within_bounds():
+    gen = member_generators()[2]
+    assert _bounded_run(gen) == reference_split_table_enumerator(gen)
 
 
 def test_largest_prime_one_dimensional_code():
