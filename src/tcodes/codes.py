@@ -572,80 +572,35 @@ def _diagonal_group(G: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate(group)
 
 
-def _representatives(
-    multiples: list[np.ndarray], low: np.ndarray, numbers: np.ndarray, p: int, chunk: int
-) -> list[tuple[int, np.ndarray]]:
-    """The targets of a batch whose code is their own number, as (orbit
-    size, target indices) pairs.
-
-    Target a * p^t + b is high number numbers[a] followed by low number b.
-    Row i of multiples[j] maps a digit x in the high number's p^j place to
-    the code of x * h_i there, and row i of `low` holds the codes of the low
-    numbers under h_i, h_0 the identity; a code drops the lead digit. The
-    least code is taken over `chunk` multipliers at a time.
-    """
-    high = np.zeros((len(low), len(numbers)), dtype=low.dtype)
-    for table_j in multiples:
-        high += table_j[:, numbers % p]
-        numbers = numbers // p
-    least = (high[0, :, None] + low[0]).ravel()
-    own = least.copy()
-    codes = np.empty((min(chunk, len(low) - 1), len(numbers), low.shape[1]), dtype=low.dtype)
-    for i in range(1, len(low), chunk):
-        part = codes[: len(low) - i]
-        np.add(high[i : i + chunk, :, None], low[i : i + chunk, None, :], out=part)
-        np.minimum(least, part.reshape(len(part), -1).min(axis=0), out=least)
-    keep = np.flatnonzero(least == own)
-    a, b = np.divmod(keep, low.shape[1])
-    orbit = len(low) // np.count_nonzero(high[:, a] + low[:, b] == own[keep], axis=0)
-    return [(size, keep[orbit == size]) for size in sorted(set(orbit.tolist()))]
-
-
 def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int, int]:
     """Weight distribution of the full code (including the zero word).
 
     Exhausts the (p^k - 1)/(p - 1) projective classes of the k independent
     rows at O(n) byte compares each; past `budget` classes, BudgetExceeded.
     A split table holds the words spanned by the last r rows (r largest with
-    p^r * n <= TABLE_CAP), one column per word. A prefix word w plus table
-    word t vanishes at column j iff t_j = -w_j, so one compare-and-count
-    against the table weighs all p^r extensions of w.
+    p^r * n <= TABLE_CAP), one column per word, built by `_span`. A prefix
+    word w plus table word t vanishes at column j iff t_j = -w_j, so one
+    compare-and-count against the table weighs all p^r extensions of w.
 
-    Chunk f holds the prefixes led by a 1 on row k - r - 1 - f. Their
-    negated words are high words over the rows above the lowest t, from
-    message numbers in int64 reduced mod p after every row, plus the low
-    block of all p^t words of the lowest t rows (t <= min(f, s), s largest
-    with p^s * n <= TABLE_CAP below k - r; t = 0 for a large p, whose high
-    numbers then run in batches). One add builds the targets of a batch of
-    high numbers; they meet the table TABLE_CAP // (p^r * n) at a time in
-    one reused bool buffer, and each compare is counted and binned at once.
-    Table and low block come from p-ary doubling (`_span`) in the smallest
-    unsigned dtype holding p - 1, which the targets share.
+    Chunk f holds the prefixes led by a 1 on row k - r - 1 - f, digit j of a
+    number a in [0, p^f) on row k - r - 1 - j. They are weighed once per
+    orbit of the code's diagonal automorphism group (`_diagonal_group`),
+    which keeps every weight and permutes the table. The torus scales a row
+    of weight u by t^u, which only permutes the columns of each point, so
+    every T-code has one. It is searched when there is more than one prefix
+    class, n * k <= classes and p^k < 2^62; rows whose column of the group
+    is new come first, so the prefix rows see most of the group. On chunk f
+    it acts by the g distinct multipliers h of the rows below the lead over
+    the lead's (the identity alone if g * p > TABLE_CAP): the image of a is
+    sum_j (h_j * digit_j(a) mod p) * p^j, from per-place tables in the
+    smallest dtype holding p^f - 1. A prefix is kept when it is the least of
+    its images and counted g / #{h : image == a} times, in exact integers.
+    Only kept prefixes get targets, their negated words in int64 reduced
+    mod p after each row, then cast to the table's dtype; they meet the
+    table TABLE_CAP // (p^r * n) at a time in one reused bool buffer.
 
-    Prefixes are weighed once per orbit of the code's diagonal automorphism
-    group (`_diagonal_group`). The torus scales a row of weight u by t^u,
-    which only permutes the columns of each point, so every T-code has one.
-    The group keeps every weight, and scaling the table rows permutes the
-    table, so a prefix and its images carry the same p^r weights. It is
-    searched when there is more than one prefix class, n * k <= classes and
-    p^k < 2^62. Rows whose column of the group is new come first, so the
-    prefix rows see most of the group. On chunk f it acts by the g distinct
-    multipliers h of the rows below the lead over the lead's. A prefix's
-    code is the least of its message numbers, lead dropped, with the digits
-    scaled by each h: g high codes per high number plus the g * p^t codes of
-    the low block, from per-row tables of h * digit * p^j in the smallest
-    dtype holding p^f - 1. Only the targets whose code is their own number
-    are built and weighed, each counted g / #{h fixing it} times, in exact
-    integers per orbit size. A chunk with g = 1 weighs all its targets.
-
-    Besides G, no array holds more than max(TABLE_CAP, n) elements of the
-    targets' dtypes or max(TABLE_CAP, 8 n) bytes, whatever p is. The group
-    search and the multiple tables stay within the bytes (a chunk whose
-    tables would not takes g = 1), the low codes within the low block (t
-    shrinks) and a batch's codes within its targets (the least code is
-    taken over n * itemsize(wide) // itemsize(code) multipliers at a
-    time), so the orbit path needs no more memory than weighing every
-    target.
+    Besides G, no array holds more than max(TABLE_CAP, n) elements: numbers
+    run TABLE_CAP // max(g, n) at a time.
     """
     rows = [generator.rows[i] for i in generator.independent_row_indices()]
     p, n, k = generator.p, generator.ncols, len(rows)
@@ -664,53 +619,41 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     G, group = G[order], group[:, order]
     table = _span(G[k - r :], p)
     counts = np.bincount(np.count_nonzero(table, axis=0), minlength=n + 1) // (p - 1)
-    s = 0
-    while s < k - r - 1 and p ** (s + 1) * n <= TABLE_CAP:
-        s += 1
     neg = -G[: k - r] % p
-    low = np.ascontiguousarray(_span(neg[k - r - s :], p).T)
-    wide = np.min_scalar_type(2 * p - 2)
     batch = max(1, TABLE_CAP // max(1, p**r * n))
     equal = np.empty((batch, n, p**r), dtype=bool)
     inverse = _inverse(group, p)
     for f in range(k - r):
-        lead, t = k - r - 1 - f, min(f, s)
-        step = max(1, TABLE_CAP // (p**t * n))
-        # Digit j of an h code is h - 1 on row k - r - 1 - j, so the identity is 0.
-        h = (group[:, k - r - 1 : lead : -1] * inverse[:, lead, None] - 1) % p
-        h = np.array(sorted(set((h @ p ** np.arange(f, dtype=np.int64)).tolist())))[:, None]
+        lead = k - r - 1 - f
+        # Column j of h multiplies row k - r - 1 - j.
+        h = group[:, k - r - 1 : lead : -1] * inverse[:, lead, None] % p
+        h = np.array(sorted(set(map(tuple, h.tolist()))), dtype=np.int64)
+        g = len(h) if len(h) * p <= TABLE_CAP else 1
         code = np.min_scalar_type(p**f - 1)
-        g = len(h) if len(h) * p * code.itemsize <= max(TABLE_CAP, 8 * n) else 1
-        if g > 1:
-            multiples = [((h // p**j % p + 1) * np.arange(p) % p * p**j).astype(code) for j in range(f)]
-            while t and g * p**t * code.itemsize > low.nbytes:
-                t -= 1
-            step = max(1, TABLE_CAP // (p**t * n))
-            chunk = max(1, n * wide.itemsize // code.itemsize)
-            low_code = np.zeros((g, 1), dtype=code)
-            for table_j in reversed(multiples[:t]):
-                low_code = (low_code[:, :, None] + table_j[:, None, :]).reshape(g, -1)
-        # High numbers p^(f-t) .. 2p^(f-t) - 1 over rows lead .. k - r - 1 - t.
-        for start in range(p ** (f - t), 2 * p ** (f - t), step):
-            idx = np.arange(start, min(start + step, 2 * p ** (f - t)), dtype=np.int64)
-            high = np.zeros((len(idx), n), dtype=np.int64)
-            for row in neg[lead : k - r - t][::-1]:
-                high = (high + (idx % p)[:, None] * row) % p
-                idx //= p
-            if g > 1:
-                high = high.astype(wide)
-                numbers = np.arange(start, start + len(high))
-                parts = [
-                    (size, _reduce(high[keep // p**t] + low[keep % p**t], p).astype(table.dtype, copy=False))
-                    for size, keep in _representatives(multiples[t:], low_code, numbers, p, chunk)
-                ]
-            else:
-                targets = _reduce((high.astype(wide)[:, None, :] + low[: p**t]).reshape(-1, n), p)
-                parts = [(1, targets.astype(table.dtype, copy=False))]
-            for size, part in parts:
-                for i in range(0, len(part), batch):
-                    hits = equal[: min(batch, len(part) - i)]
-                    np.equal(table, part[i : i + len(hits), :, None], out=hits)
+        tables = [(h[:, j, None] * np.arange(p) % p * p**j).astype(code) for j in range(f)] if g > 1 else []
+        step = max(1, TABLE_CAP // max(g, n))
+        for start in range(0, p**f, step):
+            a = np.arange(start, min(start + step, p**f), dtype=np.int64)
+            images, digits = a[None], a
+            if tables:
+                images = np.zeros((g, len(a)), dtype=code)
+                for table_j in tables:
+                    images += table_j[:, digits % p]
+                    digits = digits // p
+            own = images.min(axis=0) == a
+            keep = a[own]
+            orbit = g // np.count_nonzero(images[:, own] == keep, axis=0)
+            for size in set(orbit.tolist()):
+                digits = keep[orbit == size]
+                words = np.repeat(neg[lead : lead + 1], len(digits), axis=0)
+                for row in neg[k - r - 1 : lead : -1]:
+                    words += (digits % p)[:, None] * row
+                    words %= p
+                    digits = digits // p
+                words = words.astype(table.dtype)
+                for i in range(0, len(words), batch):
+                    hits = equal[: min(batch, len(words) - i)]
+                    np.equal(table, words[i : i + len(hits), :, None], out=hits)
                     zeros = np.add.reduce(hits.view(np.uint8), axis=1, dtype=np.min_scalar_type(n))
                     counts += size * np.bincount(zeros.ravel(), minlength=n + 1)[::-1]
     return {0: 1} | {w: int(c) * (p - 1) for w, c in enumerate(counts) if c and w > 0}

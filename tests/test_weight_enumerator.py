@@ -119,34 +119,54 @@ def test_random_generators_match_reference(p):
             assert weight_enumerator(gen) == reference_weight_enumerator(gen)
 
 
-SEVERAL_HIGH_BATCHES = "s = 0, several high batches"
-LOW_BLOCK_BELOW_CHUNK = "0 < s < f"
+def chunk_layout(gen: MatrixFp, cap: int) -> list[tuple[int, int]]:
+    """(g, prefix batch size) of each chunk f, as the kernel's docstring lays
+    them out: g distinct multipliers of the rows below the lead over the
+    lead's (the identity alone when g * p > cap), cap // max(g, n) numbers
+    at a time."""
+    p, n, G = gen.p, gen.ncols, independent_rows(gen)
+    k = len(G)
+    r = 0
+    while r < k and p ** (r + 1) * n <= cap:
+        r += 1
+    group = np.ones((1, k), dtype=np.int64)
+    if k - r > 1 and n * k <= (p**k - 1) // (p - 1) and p**k < 2**62:
+        group = codes._diagonal_group(G, p)
+    characters = [tuple(c) for c in group.T.tolist()]
+    group = group[:, sorted(range(k), key=lambda i: characters.index(characters[i]) < i)]
+    layout = []
+    for lead in range(k - r - 1, -1, -1):
+        g = len({tuple(d[lead + 1 : k - r] * pow(int(d[lead]), -1, p) % p) for d in group})
+        g = g if g * p <= cap else 1
+        layout.append((g, max(1, cap // max(g, n))))
+    return layout
+
+
+def takes_orbit_path(gen: MatrixFp, cap: int) -> bool:
+    return any(g > 1 for g, _ in chunk_layout(gen, cap))
+
+
+SEVERAL_BATCHES = "a chunk in several prefix batches"
 PARTIAL_LAST_BATCH = "chunk not a multiple of the batch"
 
 
-def chunk_shapes(p: int, k: int, n: int, r: int, s: int, cap: int) -> set[str]:
-    """The chunk shapes of a run with split r and s low rows, as the
-    kernel's docstring lays them out."""
-    batch = max(1, cap // max(1, p**r * n))
+def chunk_shapes(gen: MatrixFp, cap: int) -> set[str]:
     shapes = set()
-    for f in range(k - r):
-        t = min(f, s)
-        if t == 0 and p**f > max(1, cap // n):
-            shapes.add(SEVERAL_HIGH_BATCHES)
-        if 0 < t < f:
-            shapes.add(LOW_BLOCK_BELOW_CHUNK)
-        if p**f > batch and p**f % batch:
-            shapes.add(PARTIAL_LAST_BATCH)
+    for f, (_, step) in enumerate(chunk_layout(gen, cap)):
+        if gen.p**f > step:
+            shapes.add(SEVERAL_BATCHES)
+            if gen.p**f % step:
+                shapes.add(PARTIAL_LAST_BATCH)
     return shapes
 
 
 # The chunk shapes that each cap gives on the generators below.
 SHAPES_AT_CAP = {
-    1: {SEVERAL_HIGH_BATCHES},
-    40: {SEVERAL_HIGH_BATCHES, LOW_BLOCK_BELOW_CHUNK, PARTIAL_LAST_BATCH},
-    100: {SEVERAL_HIGH_BATCHES, LOW_BLOCK_BELOW_CHUNK, PARTIAL_LAST_BATCH},
-    300: {SEVERAL_HIGH_BATCHES, PARTIAL_LAST_BATCH},
-    1_000: {SEVERAL_HIGH_BATCHES, PARTIAL_LAST_BATCH},
+    1: {SEVERAL_BATCHES},
+    40: {SEVERAL_BATCHES, PARTIAL_LAST_BATCH},
+    100: {SEVERAL_BATCHES, PARTIAL_LAST_BATCH},
+    300: {SEVERAL_BATCHES, PARTIAL_LAST_BATCH},
+    1_000: {SEVERAL_BATCHES, PARTIAL_LAST_BATCH},
     5_000: set(),
 }
 
@@ -155,29 +175,20 @@ SHAPES_AT_CAP = {
 def test_every_table_split_matches_reference(monkeypatch, cap):
     # Shrinking the cap moves the split point r from k down to 0.
     monkeypatch.setattr(codes, "TABLE_CAP", cap)
-    # The first span is the table over r rows, the second the low block over s rows.
-    spans = []
-    span = codes._span
-    monkeypatch.setattr(codes, "_span", lambda rows, p: spans.append(len(rows)) or span(rows, p))
     rng = random.Random(cap)
     seen = set()
     for p, k, n in [(2, 7, 9), (3, 5, 13), (7, 4, 6), (13, 3, 20), (257, 2, 5)]:
         gen = random_generator(rng, p, k, n)
-        spans.clear()
         enum = weight_enumerator(gen)
         assert enum == reference_weight_enumerator(gen)
         assert enum == reference_split_table_enumerator(gen)
-        r, s = spans
-        seen |= chunk_shapes(p, len(gen.independent_row_indices()), n, r, s, cap)
+        seen |= chunk_shapes(gen, cap)
     assert seen == SHAPES_AT_CAP[cap]
-    # The torus of a toric code acts on its prefixes at every split.
-    calls = []
-    representatives = codes._representatives
-    monkeypatch.setattr(codes, "_representatives", lambda *a: calls.append(1) or representatives(*a))
+    # The torus of a toric code acts on its prefixes at every split whose
+    # multiplier tables fit the cap, which all but cap 1 do.
     gen = toric_generator(5, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)])
-    enum = weight_enumerator(gen)
-    assert calls
-    assert enum == reference_weight_enumerator(gen) == reference_split_table_enumerator(gen)
+    assert takes_orbit_path(gen, cap) == (cap > 1)
+    assert weight_enumerator(gen) == reference_weight_enumerator(gen) == reference_split_table_enumerator(gen)
 
 
 def test_wide_code_with_empty_split_matches_reference():
@@ -308,9 +319,6 @@ ORBIT_RUNS_AT_CAP = {DEFAULT_CAP: (43, 6), 512: (38, 25)}
 @pytest.mark.parametrize("cap", ORBIT_RUNS_AT_CAP)
 def test_orbit_path_matches_both_references(monkeypatch, cap):
     monkeypatch.setattr(codes, "TABLE_CAP", cap)
-    calls = []
-    representatives = codes._representatives
-    monkeypatch.setattr(codes, "_representatives", lambda *a: calls.append(1) or representatives(*a))
     gens = library_generators() + member_generators() + small_instance_generators()
     if cap < DEFAULT_CAP:
         gens = [g for g in gens if g.p ** len(g.independent_row_indices()) <= 20_000 * (g.p - 1)]
@@ -318,12 +326,11 @@ def test_orbit_path_matches_both_references(monkeypatch, cap):
     assert len(gens) == count
     orbit = 0
     for gen in gens:
-        calls.clear()
         enum = weight_enumerator(gen)
         assert enum == reference_split_table_enumerator(gen)
         if gen.ncols < 100:
             assert enum == reference_weight_enumerator(gen)
-        orbit += bool(calls)
+        orbit += takes_orbit_path(gen, cap)
     assert orbit >= least
 
 
@@ -339,11 +346,16 @@ def test_orbit_path_is_invariant_under_monomial_maps():
 
 
 def test_trivial_group_weighs_every_target(monkeypatch):
-    monkeypatch.setattr(codes, "_representatives", lambda *a: pytest.fail("orbit path on a trivial group"))
     rng = random.Random(3)
     for p, k, n in [(5, 5, 30), (7, 4, 40), (11, 4, 20)]:
         gen = random_generator(rng, p, k, n)
         assert group_of(gen) == {(1,) * len(gen.independent_row_indices())}
+        assert not takes_orbit_path(gen, codes.TABLE_CAP)
+        assert weight_enumerator(gen) == reference_split_table_enumerator(gen)
+    # Codes with symmetry weigh every prefix alone once the group is withheld.
+    monkeypatch.setattr(codes, "_diagonal_group", lambda G, p: np.ones((1, len(G)), dtype=np.int64))
+    for gen in library_generators():
+        assert not takes_orbit_path(gen, codes.TABLE_CAP)
         assert weight_enumerator(gen) == reference_split_table_enumerator(gen)
 
 
@@ -361,15 +373,22 @@ def _bounded_run(gen: MatrixFp) -> dict[int, int]:
     return enum
 
 
-@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("n", [6, 12, 16])
 def test_large_prime_two_dimensional_code(n):
     # n = 6 keeps a one-row split (65,537 table words); n = 12 needs none.
+    # n = 16 pairs the all-ones row with the 16th roots of unity (3 is a
+    # primitive root): the group has 16 elements, too many multiplier tables
+    # of p entries for the cap, so the identity acts alone.
     p = 65537
     rng = random.Random(n)
-    gen = MatrixFp([[1] * n, [rng.randrange(p) for _ in range(n)]], p)
+    second = [pow(3, p // 16 * j, p) for j in range(n)] if n == 16 else [rng.randrange(p) for _ in range(n)]
+    gen = MatrixFp([[1] * n, second], p)
     enum = _bounded_run(gen)
     assert sum(enum.values()) == p**2
     assert enum == reference_weight_enumerator(gen)
+    if n == 16:
+        assert len(group_of(gen)) == 16 and 16 * p > codes.TABLE_CAP
+        assert enum == {0: 1, 15: 1048576, 16: 4294049792}
 
 
 def test_largest_exact_distance_member_within_bounds():
