@@ -6,18 +6,19 @@ Legendre-type duality between the two, sup-convolution, and exact integrals
 of concave piecewise-linear functions over their domains.
 
 The arithmetic runs in integers: numerators over common denominators, with
-`Fraction` built only for the public views and results.
+`Fraction` built only for the public views and results. Graph points are
+lifted to integers once and enveloped; a sup-convolution envelopes the
+pairwise sums of its summands' stored vertices, in any dimension.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
-from heapq import merge
-from itertools import accumulate, groupby, product
+from functools import cached_property
+from itertools import product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .algebra import rational_ceil, rational_floor
@@ -102,27 +103,6 @@ def _lattice_points(hull: Sequence[IntPoint], den: int = 1) -> list[tuple[int, .
     return [u for u in box if _contains(hull, tuple(den * x for x in u))]
 
 
-def _minkowski(p: Sequence[IntPoint], q: Sequence[IntPoint]) -> list[IntPoint]:
-    """Minkowski sum of two `_hull` results that are polygons or points.
-
-    The edges of each, counterclockwise from the lexicographic minimum, turn
-    from just past straight down to straight down; merged in that order,
-    with parallel edges joined, they walk the sum from the sum of the minima.
-    """
-
-    def edges(h: Sequence[IntPoint]) -> list[IntPoint]:
-        return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(h, [*h[1:], *h[:1]])] if len(h) > 1 else []
-
-    def turn(e: IntPoint, f: IntPoint) -> int:  # < 0 when e comes first
-        half_e, half_f = (v[0] < 0 or (v[0] == 0 and v[1] < 0) for v in (e, f))
-        return half_e - half_f or e[1] * f[0] - e[0] * f[1]
-
-    key = cmp_to_key(turn)
-    steps = [tuple(map(sum, zip(*group))) for _, group in groupby(merge(edges(p), edges(q), key=key), key)]
-    start = (p[0][0] + q[0][0], p[0][1] + q[0][1])
-    return list(accumulate(steps[:-1], lambda a, e: (a[0] + e[0], a[1] + e[1]), initial=start))
-
-
 def _upper_chain(pts: list[IntPoint]) -> tuple[list[IntPoint], bool]:
     """Upper hull of (position, value) pairs sorted by distinct positions,
     and whether some pair that is not a hull vertex lies on the hull."""
@@ -146,12 +126,6 @@ def _line_chain(reps: dict[IntPoint, int], q0: IntPoint, q1: IntPoint) -> tuple[
     line = {d[0] * (p[0] - q0[0]) + d[1] * (p[1] - q0[1]): p for p in reps if _cross(q0, q1, p) == 0}
     chain, collinear = _upper_chain(sorted((s, reps[p]) for s, p in line.items()))
     return [line[s] for s, _ in chain], collinear
-
-
-def _reduced(n0: int, n1: int, e: int) -> tuple[int, int, int]:
-    """A gradient (n0 / e, n1 / e), e > 0, in lowest terms."""
-    k = gcd(n0, n1, e)
-    return n0 // k, n1 // k, e // k
 
 
 class LatticePolytope:
@@ -292,33 +266,36 @@ class ConcavePL:
     def from_graph_points(
         cls, points: Iterable[tuple[Sequence[Fraction | int] | int, Fraction | int]]
     ) -> "ConcavePL":
-        reps: dict[Point, Fraction] = {}
-        for pos, val in points:
-            p = make_point(pos)
-            z = Fraction(val)
-            if p not in reps or reps[p] < z:
-                reps[p] = z
-        if not reps:
+        graph = [(*make_point(pos), Fraction(val)) for pos, val in points]
+        if not graph:
             raise ValueError("a concave function needs at least one graph point")
-        m = len(next(iter(reps)))
+        m = len(graph[0]) - 1
         if m not in (1, 2):
             raise ValueError("supported in dimensions 1 and 2 only")
-        if any(len(p) != m for p in reps):
+        if any(len(c) != m + 1 for c in graph):
             raise ValueError("mixed-dimension graph points")
-        if m == 1:
-            return cls._envelope_1d(reps)
-        return cls._envelope_2d(reps)
+        return cls._from_lifted(m, *_lift(graph))
+
+    @classmethod
+    def _from_lifted(cls, m: int, den: int, graph: Iterable[IntPoint]) -> "ConcavePL":
+        """The envelope of integer graph points (X, Z) over den, X of
+        dimension m, keeping the largest Z at each position X."""
+        reps: dict[IntPoint, int] = {}
+        for c in graph:
+            p, z = c[:m], c[m]
+            if reps.get(p, z) <= z:
+                reps[p] = z
+        return cls._envelope_1d(reps, den) if m == 1 else cls._envelope_2d(reps, den)
 
     @classmethod
     def constant_on(cls, domain: LatticePolytope, value: Fraction | int = 0) -> "ConcavePL":
         return cls.from_graph_points([(v, value) for v in domain.vertices])
 
     @classmethod
-    def _envelope_1d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
+    def _envelope_1d(cls, reps: dict[IntPoint, int], den: int) -> "ConcavePL":
         # Monotone upper-hull scan; the extreme positions always survive, so
         # this yields exactly the envelope vertices of a function graph.
-        den, lifted = _lift([(*p, z) for p, z in reps.items()])
-        chain, collinear = _upper_chain(sorted(lifted))
+        chain, collinear = _upper_chain(sorted((x, z) for (x,), z in reps.items()))
         edges = list(zip(chain, chain[1:]))
         gden = lcm(*(xb - xa for (xa, _), (xb, _) in edges))
         cells = []
@@ -329,8 +306,8 @@ class ConcavePL:
         return cls(1, [((x,), z) for x, z in chain], collinear, cells, domain, den, gden)
 
     @classmethod
-    def _envelope_2d(cls, reps: dict[Point, Fraction]) -> "ConcavePL":
-        """Gift wrapping over the upper facets of the lifted points.
+    def _envelope_2d(cls, reps: dict[IntPoint, int], den: int) -> "ConcavePL":
+        """Gift wrapping over the upper facets of the graph points (X, Z) over den.
 
         The wrap starts at the first envelope edge along the first hull edge.
         The cell left of an envelope edge a -> b has the lowest plane through
@@ -340,21 +317,19 @@ class ConcavePL:
         on the envelope without being a vertex. A plane is kept as integers
         (n1, n2, n0, d) in lowest terms, d > 0: d * Z = n1 * X + n2 * Y + n0.
         """
-        den, lifted = _lift([(*p, z) for p, z in reps.items()])
-        ireps = {(x, y): z for x, y, z in lifted}
-        hull = _hull(ireps)
+        hull = _hull(reps)
         if len(hull) < 3:
-            line, collinear = _line_chain(ireps, hull[0], hull[-1])
-            return cls(2, [(p, ireps[p]) for p in line], collinear, (), hull, den)
-        edges = [tuple(_line_chain(ireps, hull[0], hull[1])[0][:2])]
+            line, collinear = _line_chain(reps, hull[0], hull[-1])
+            return cls(2, [(p, reps[p]) for p in line], collinear, (), hull, den)
+        edges = [tuple(_line_chain(reps, hull[0], hull[1])[0][:2])]
         planes: dict[tuple[int, int, int, int], tuple[IntPoint, ...]] = {}
         on_env: set[IntPoint] = set()
         while edges:
             a, b = edges.pop()
-            za, dz = ireps[a], ireps[b] - ireps[a]
+            za, dz = reps[a], reps[b] - reps[a]
             ex, ey = b[0] - a[0], b[1] - a[1]
             n1 = n2 = d = 0  # d = 0: no point left of a -> b yet
-            for q, zq in ireps.items():
+            for q, zq in reps.items():
                 qx, qy = q[0] - a[0], q[1] - a[1]
                 dq = ex * qy - ey * qx
                 if dq > 0 and (d == 0 or d * (zq - za) > n1 * qx + n2 * qy):
@@ -367,7 +342,7 @@ class ConcavePL:
             if plane in planes:
                 continue
             n1, n2, n0, d = plane
-            tight = [p for p, z in ireps.items() if n1 * p[0] + n2 * p[1] + n0 == d * z]
+            tight = [p for p, z in reps.items() if n1 * p[0] + n2 * p[1] + n0 == d * z]
             planes[plane] = cell = tuple(_hull(tight))
             on_env.update(tight)
             edges.extend(zip(cell[1:] + cell[:1], cell))
@@ -376,7 +351,7 @@ class ConcavePL:
             ((n1 * gden // d, n2 * gden // d), n0 * gden // d, cell) for (n1, n2, n0, d), cell in planes.items()
         )
         corners = {p for cell in planes.values() for p in cell}
-        return cls(2, [(p, ireps[p]) for p in corners], on_env != corners, cells, hull, den, gden)
+        return cls(2, [(p, reps[p]) for p in corners], on_env != corners, cells, hull, den, gden)
 
     # -- domain ----------------------------------------------------------
 
@@ -396,9 +371,6 @@ class ConcavePL:
         b, (q,) = _lift([p])
         dom = self._domain if b == 1 else [tuple(b * x for x in c) for c in self._domain]
         return (p, q, b) if _contains(dom, tuple(self._den * x for x in q)) else None
-
-    def domain_contains(self, u: Sequence[Fraction | int] | int) -> bool:
-        return self._locate(u) is not None
 
     def domain_lattice_points(self) -> list[tuple[int, ...]]:
         """The integer points of the domain, in lexicographic order."""
@@ -533,75 +505,14 @@ class SupportFunctionSlice:
         return f"SupportFunctionSlice[{pieces}]"
 
 
-def _top_face(
-    pts: Sequence[tuple[IntPoint, int]], grad: tuple[int, int, int]
-) -> tuple[int, list[tuple[IntPoint, int]]]:
-    """The top face for the gradient γ = (n0, n1) / e, where z - <γ, p> is
-    largest: the maximum of e * Z - <(n0, n1), X> over stored vertices
-    (X, Z), and the vertices attaining it."""
-    n0, n1, e = grad
-    vals = [(e * z - n0 * p[0] - n1 * p[1], p, z) for p, z in pts]
-    top = max(v for v, _, _ in vals)
-    return top, [(p, z) for v, p, z in vals if v == top]
-
-
-def _dual_edges(f: ConcavePL) -> list[tuple[IntPoint, IntPoint, bool]]:
-    """The dual edge of each edge of f's cells: the gradients γ whose top
-    face (see `_top_face`) holds the edge, as base + t * direction, with
-    numerators over f's gradient denominator. An inner edge gives the
-    segment between its two cells' gradients, t in [0, 1]; a boundary edge
-    the ray from its cell's gradient against the outer normal, t >= 0."""
-    sides: dict[frozenset[IntPoint], list[tuple[IntPoint, IntPoint, IntPoint]]] = {}
-    for grad, _, cell in f._cells:
-        for a, b in zip(cell, cell[1:] + cell[:1]):
-            sides.setdefault(frozenset((a, b)), []).append((grad, a, b))
-    out = []
-    for (grad, a, b), *other in sides.values():
-        if other:
-            out.append((grad, (other[0][0][0] - grad[0], other[0][0][1] - grad[1]), True))
-        else:
-            # The cell is counterclockwise, so its outer normal at a -> b is
-            # (b1 - a1, a0 - b0), and the ray runs against it.
-            out.append((grad, (a[1] - b[1], b[0] - a[0]), False))
-    return out
-
-
-def _dual_crossings(f: ConcavePL, g: ConcavePL) -> set[tuple[int, int, int]]:
-    """Gradients, reduced as in `_reduced`, where a dual edge of f crosses a dual edge of g."""
-    out = set()
-    ef, eg = f._gden, g._gden
-    # Both sides over the gradient denominator ef * eg.
-    edges_g = [((b0 * ef, b1 * ef), (d0 * ef, d1 * ef), seg) for (b0, b1), (d0, d1), seg in _dual_edges(g)]
-    for (bf0, bf1), (df0, df1), seg_f in _dual_edges(f):
-        bf0, bf1, df0, df1 = bf0 * eg, bf1 * eg, df0 * eg, df1 * eg
-        for (bg0, bg1), (dg0, dg1), seg_g in edges_g:
-            det = df0 * dg1 - df1 * dg0
-            if det == 0:
-                continue
-            # The lines meet at parameters s / det along f's edge and
-            # t / det along g's; det > 0 after the sign flip.
-            w0, w1 = bg0 - bf0, bg1 - bf1
-            s = w0 * dg1 - w1 * dg0
-            t = w0 * df1 - w1 * df0
-            if det < 0:
-                det, s, t = -det, -s, -t
-            if 0 <= s and 0 <= t and (s <= det or not seg_f) and (t <= det or not seg_g):
-                out.add(_reduced(bf0 * det + s * df0, bf1 * det + s * df1, ef * eg * det))
-    return out
-
-
 def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
     """Sup-convolution: u -> sup {f(u') + g(u'') : u' + u'' = u}.
 
-    The hypograph of the result is the Minkowski sum of the hypographs. In
-    the plane its cell with gradient γ is the sum of the faces of f and g on
-    which z - <γ, p> is largest, so the cells are the mixed cells of the two
-    subdivisions (Huber–Sturmfels), read off the cells of f and g: γ is a
-    cell gradient of f or of g, or a point where a dual edge of f crosses
-    one of g. Its domain is the Minkowski sum of the two domains. The
-    envelope of the pairwise vertex sums builds the result when a summand's
-    domain is a segment in the plane, when both are points, and in one
-    variable.
+    The hypograph of the result is the Minkowski sum of the hypographs, so
+    the envelope of all pairwise vertex sums, the largest value kept at each
+    position, is the result in either dimension and for any domain shape.
+    The sums are taken in integers over the least common multiple of the two
+    stored denominators. The domain is the Minkowski sum of the two domains.
 
     `had_collinear` is the flag of that envelope: in the plane, some vertex
     sum lies on the result without being a vertex of it. Parallel edges of
@@ -610,31 +521,10 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
     """
     if f.m != g.m:
         raise ValueError("mixed dimensions in sup-convolution")
-    sizes = {len(f._domain), len(g._domain)}
-    if f.m == 1 or 2 in sizes or sizes == {1}:
-        return ConcavePL.from_graph_points(
-            (tuple(a + b for a, b in zip(p, q)), zf + zg) for p, zf in f.vertices for q, zg in g.vertices
-        )
     den = lcm(f._den, g._den)
-    (pts_f, dom_f), (pts_g, dom_g) = f._times(den // f._den), g._times(den // g._den)
-    found = []
-    tight: dict[IntPoint, int] = {}
-    for grad in {_reduced(*G, h._gden) for h in (f, g) for G, _, _ in h._cells} | _dual_crossings(f, g):
-        top_f, face_f = _top_face(pts_f, grad)
-        top_g, face_g = _top_face(pts_g, grad)
-        sums = {(p[0] + q[0], p[1] + q[1]): zf + zg for p, zf in face_f for q, zg in face_g}
-        cell = _hull(sums)
-        if len(cell) >= 3:
-            # e * Z = <n, X> + top_f + top_g on the cell.
-            found.append((grad, top_f + top_g, tuple(cell)))
-            tight.update(sums)
-    gden = lcm(*(e for (_, _, e), _, _ in found))
-    cells = sorted(
-        ((n0 * gden // e, n1 * gden // e), top * gden // e, cell) for (n0, n1, e), top, cell in found
-    )
-    corners = {p for _, _, cell in cells for p in cell}
-    domain = _minkowski(dom_f, dom_g)
-    return ConcavePL(2, [(p, tight[p]) for p in corners], set(tight) != corners, cells, domain, den, gden)
+    (pts_f, _), (pts_g, _) = f._times(den // f._den), g._times(den // g._den)
+    sums = ((*map(add, p, q), zf + zg) for p, zf in pts_f for q, zg in pts_g)
+    return ConcavePL._from_lifted(f.m, den, sums)
 
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:

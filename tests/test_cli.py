@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -70,9 +71,9 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
     envelope_1d = ConcavePL._envelope_1d.__func__
     calls = Counter()
 
-    def counting(cls, reps):
-        calls[tuple(sorted(reps.items()))] += 1
-        return envelope_1d(cls, reps)
+    def counting(cls, reps, den):
+        calls[tuple(sorted(((Fraction(x, den),), Fraction(z, den)) for (x,), z in reps.items()))] += 1
+        return envelope_1d(cls, reps, den)
 
     monkeypatch.setattr(ConcavePL, "_envelope_1d", classmethod(counting))
     code, _, _ = run(capsys, ["info", SAMPLE])

@@ -107,7 +107,7 @@ def test_envelope_1d():
     assert g.evaluate(1) == 1
     assert g.evaluate(Fraction(7, 2)) == 0
     assert g.try_evaluate(5) is None
-    assert g.domain_contains(4) and not g.domain_contains(-1)
+    assert g.try_evaluate(4) is not None and g.try_evaluate(-1) is None
     # Dominated grid points disappear under the envelope.
     h = ConcavePL.from_graph_points([(0, 0), (1, -5), (2, 0)])
     assert h.vertices == (((Fraction(0),), Fraction(0)), ((Fraction(2),), Fraction(0)))
@@ -326,7 +326,7 @@ def reference_plane_search_envelope(reps: dict[Point, Fraction]):
             sp = (Fraction(s),)
             if sp not in params or params[sp] < z:
                 params[sp] = z
-        inner = ConcavePL._envelope_1d(params)
+        inner = ConcavePL.from_graph_points(params.items())
         verts = [((q0[0] + s[0] * d[0], q0[1] + s[0] * d[1]), z) for s, z in inner.vertices]
         return tuple(sorted(verts)), inner.had_collinear, ()
     items = list(reps.items())
@@ -521,7 +521,7 @@ def test_points_of_the_wrong_dimension_are_refused():
     line = ConcavePL.from_graph_points([(0, 0), (2, 1)])
     plane = ConcavePL.from_graph_points([((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
     for f, u in [(line, (1, 5)), (line, (1, 2, 3)), (plane, (0, 0, 7)), (plane, 0), (plane, (0,))]:
-        for query in (f.domain_contains, f.try_evaluate, f.evaluate):
+        for query in (f.try_evaluate, f.evaluate):
             with pytest.raises(ValueError):
                 query(u)
 
@@ -716,9 +716,9 @@ def test_concave_pl_matches_reference_queries():
     assert inside > 10_000 and outside > 5_000
 
 
-# Oracle: the former sup-convolution, which enveloped every pairwise vertex
-# sum. The mixed-cell construction must give the same vertices, flag and
-# cells.
+# Oracle: the pairwise-sum envelope in `Fraction`s, built through
+# `from_graph_points`. The library sums the same pairs in integers over a
+# common denominator and must give the same vertices, flag and cells.
 
 
 def reference_sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
