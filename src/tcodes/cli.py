@@ -92,8 +92,10 @@ def _run_genmat(setup: EvaluationSetup) -> int:
     code = build_code(setup)
     gen = code.generator()
     print(f"{code.n} {code.k} {setup.q}")
+    # Entries are residues below q <= n + 1, so this table is never longer than a row.
+    names = [str(c) for c in range(min(setup.q, code.n + 1))]
     for row in gen.rows:
-        print(" ".join(map(str, row)))
+        print(" ".join(map(names.__getitem__, row)))
     return EXIT_OK
 
 

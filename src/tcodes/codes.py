@@ -7,10 +7,12 @@ section value by the fixed local trivialization exponent at each point.
 
 The columns at one point form a block over the torus (F_q^*)^m, and a row of
 weight u is (twisted values at the l points) tensor the character t -> t^u.
-The twisted values come from one batched kernel (`_section_values`). Code
-columns, `d_upper` witnesses at sloped points and toric generators all come
-from one character table (`_characters`); at a flat point a witness weight
-has a closed form. The rank splits by u mod q - 1.
+The twisted values come from one batched kernel (`_section_values`). A code
+keeps only those l-vectors: its rank splits by u mod q - 1 and is taken on
+them, and the full rows are built from them when first read. Code columns,
+`d_upper` witnesses at sloped points and toric generators all come from one
+character table (`_characters`); at a flat point a witness weight has a
+closed form.
 """
 
 from __future__ import annotations
@@ -81,7 +83,11 @@ class EvaluationSetup:
         candidates = dp.curve.rational_points() if points is None else points
         if len(set(candidates)) != len(candidates):
             raise ValueError("evaluation points must be distinct")
-        twists = [(P, _affine_twist(dp.slice_at(P))) for P in candidates]
+        slices = [dp.slice_at(P) for P in candidates]
+        # Unmarked points share one zero slice: one twist per distinct slice.
+        distinct = {id(s): s for s in slices}
+        twist_of = {key: _affine_twist(s) for key, s in distinct.items()}
+        twists = [(P, twist_of[id(s)]) for P, s in zip(candidates, slices)]
         if points is None:
             twists = [(P, tw) for P, tw in twists if tw is not None]
         for P, tw in twists:
@@ -213,28 +219,38 @@ def _characters(p: int, m: int, exponents) -> np.ndarray:
 
 @dataclass
 class EvaluationCode:
-    """Raw evaluation matrix with row labels and derived rank data.
+    """Evaluation code from its row l-vectors and row labels, with rank data.
 
-    A `build_code` row is its l-vector (the entries at t = 1) tensor a
-    character, and distinct characters are independent on the torus, so a row
-    is selected exactly when its l-vector is independent of the earlier ones
-    whose weights agree with its weight mod q - 1.
+    Row i, labelled (u, j), is its l-vector `values[i]` (the entries at
+    t = 1) tensor the character t -> t^u. Distinct characters are independent
+    on the torus, so a row is selected exactly when its l-vector is
+    independent of the earlier ones whose weights agree with its weight mod
+    q - 1; k and the selection never need the k x n rows, which are built
+    when first read (`rows`, `matrix`, `generator`).
     """
 
     setup: EvaluationSetup
-    rows: list[list[int]]
+    values: list[list[int]]
     row_labels: list[tuple[tuple[int, ...], int]]
 
     def __post_init__(self) -> None:
-        q, width = self.setup.q, (self.setup.q - 1) ** self.setup.m
+        q = self.setup.q
         classes: dict[tuple[int, ...], list[int]] = {}
         for idx, (u, _) in enumerate(self.row_labels):
             classes.setdefault(tuple(c % (q - 1) for c in u), []).append(idx)
         self.selected = sorted(
             idxs[j]
             for idxs in classes.values()
-            for j in MatrixFp([self.rows[i][::width] for i in idxs], q).independent_row_indices()
+            for j in MatrixFp([self.values[i] for i in idxs], q).independent_row_indices()
         )
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """The k x n evaluation matrix: each l-vector tensor its character,
+        one column per (point, torus element), points outermost."""
+        p = self.setup.q
+        chi = _characters(p, self.setup.m, [u for u, _ in self.row_labels])
+        return [(np.array(v, dtype=np.int64)[:, None] * c % p).ravel().tolist() for v, c in zip(self.values, chi)]
 
     @property
     def n(self) -> int:
@@ -246,7 +262,7 @@ class EvaluationCode:
 
     @property
     def injective(self) -> bool:
-        return self.k == len(self.rows)
+        return self.k == len(self.row_labels)
 
     def matrix(self) -> MatrixFp:
         return MatrixFp(self.rows, self.setup.q)
@@ -259,20 +275,18 @@ class EvaluationCode:
 def build_code(setup: EvaluationSetup) -> EvaluationCode:
     """Evaluate every graded basis element at every (point, torus) column.
 
-    A piece of weight u twists by one k_i per point; the rows are the section
-    values of `_section_values`, all sections in one pass, tensor t^u.
+    A piece of weight u twists by one k_i per point; its l-vectors are the
+    section values of `_section_values`, all sections in one pass. The code
+    tensors them with t^u only when its rows are read.
     """
-    p = setup.q
     pieces = graded_sections(setup.dp).pieces
     gradients, offsets = setup._twist_arrays
     weights = np.array([piece.u for piece in pieces], dtype=np.int64).reshape(-1, setup.m)
     owner = [i for i, piece in enumerate(pieces) for _ in piece.basis]
     sections = [f for piece in pieces for f in piece.basis]
     values = _section_values(setup, sections, (weights @ gradients.T + offsets)[owner])
-    chi = _characters(p, setup.m, weights)
-    rows = [(row[:, None] * chi[i] % p).ravel().tolist() for row, i in zip(values, owner)]
     labels = [(piece.u, j) for piece in pieces for j in range(len(piece.basis))]
-    return EvaluationCode(setup, rows, labels)
+    return EvaluationCode(setup, values.tolist(), labels)
 
 
 @dataclass

@@ -256,6 +256,13 @@ class FunctionFieldElement:
         self.c = c
 
     @classmethod
+    def _in_lowest_terms(cls, curve: Curve, a: Poly, b: Poly, c: Poly) -> "FunctionFieldElement":
+        """(a + b y) / c from parts already in lowest terms with c monic: no gcd."""
+        f = object.__new__(cls)
+        f.curve, f.a, f.b, f.c = curve, a, b, c
+        return f
+
+    @classmethod
     def zero(cls, curve: Curve) -> "FunctionFieldElement":
         return cls(curve, Poly([], curve.p), Poly([], curve.p), Poly([1], curve.p))
 
@@ -498,19 +505,30 @@ def riemann_roch_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
     elements have strictly decreasing valuations there. Every element is
     (a + b y) / den over one den, so the basis is found and echelonized as
     coefficient vectors over the monomials of a + b y, and each element is
-    built once, at the end.
+    built once, at the end. den = prod (x - x0)^m is monic with known roots,
+    so an element is brought to lowest terms by dividing out, at each x0,
+    (x - x0) to the least of m and the multiplicities of a and b there.
     """
     if not D.is_integral():
         raise ValueError("Riemann-Roch spaces are computed for integral divisors")
     if not all(curve.contains(P) for P in D.support()):
         raise ValueError("divisor support must lie on the curve")
-    den, monomials, vectors = _rr_kernel(curve, D)
+    den, mult_by_x, monomials, vectors = _rr_kernel(curve, D)
     _assert_rr_dimension(curve, D, len(vectors))
     if len(vectors) > 1:
         anchor = max(D.items(), key=lambda kv: (kv[1], [-k for k in kv[0].sort_key()]))[0] if D.coeffs else INFINITY
         vectors = _echelonize_vectors(curve, monomials, vectors, anchor)
     p, n_a = curve.p, sum(1 for _, with_y in monomials if not with_y)
-    return [FunctionFieldElement(curve, Poly(v[:n_a], p), Poly(v[n_a:], p), den) for v in vectors]
+    basis = []
+    for v in vectors:
+        a, b, c = Poly(v[:n_a], p), Poly(v[n_a:], p), den
+        for x0, m in mult_by_x.items():
+            e = min(m, *(f.multiplicity(x0) for f in (a, b) if not f.is_zero()))
+            if e:
+                root = Poly.x_minus(x0, p) ** e
+                a, b, c = a // root, b // root, c // root
+        basis.append(FunctionFieldElement._in_lowest_terms(curve, a, b, c))
+    return basis
 
 
 def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
@@ -541,13 +559,15 @@ def _monomial_rows(curve: Curve, P: CurvePoint, monomials: list[Monomial], prec:
     return [list(row) for row in zip(*cols)]
 
 
-def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, list[Monomial], list[list[int]]]:
-    """L(D) as (den, monomials, vectors): the (a + b y) / den whose low-order
-    local coefficients vanish, one coefficient vector over the monomials each.
+def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, dict[int, int], list[Monomial], list[list[int]]]:
+    """L(D) as (den, mult_by_x, monomials, vectors): the (a + b y) / den whose
+    low-order local coefficients vanish, one coefficient vector over the
+    monomials each.
 
-    den clears the positive affine part of D; the monomials x^i and x^j y (the
-    latter on elliptic curves only) are capped by the pole allowed at infinity,
-    and each affine point where D allows less than den gives constraint rows.
+    den = prod (x - x0)^mult_by_x[x0] clears the positive affine part of D;
+    the monomials x^i and x^j y (the latter on elliptic curves only) are
+    capped by the pole allowed at infinity, and each affine point where D
+    allows less than den gives constraint rows.
     """
     p = curve.p
     n_inf = int(D[INFINITY])
@@ -567,7 +587,7 @@ def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, list[Monomial], list[lis
     monomials: list[Monomial] = [(i, False) for i in range(cap_a + 1)]
     monomials += [(j, True) for j in range(cap_b + 1)]
     if not monomials:
-        return den, monomials, []
+        return den, mult_by_x, monomials, []
     constrained: dict[CurvePoint, int] = {}
     for x0, m in mult_by_x.items():
         for P in _points_above(curve, x0):
@@ -581,8 +601,8 @@ def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, list[Monomial], list[lis
     for P in sorted(constrained, key=CurvePoint.sort_key):
         rows += _monomial_rows(curve, P, monomials, constrained[P])
     if rows:
-        return den, monomials, MatrixFp(rows, p).kernel_basis()
-    return den, monomials, [[int(i == j) for i in range(len(monomials))] for j in range(len(monomials))]
+        return den, mult_by_x, monomials, MatrixFp(rows, p).kernel_basis()
+    return den, mult_by_x, monomials, [[int(i == j) for i in range(len(monomials))] for j in range(len(monomials))]
 
 
 def _anchor_rows(curve: Curve, monomials: list[Monomial], anchor: CurvePoint) -> list[list[int]]:

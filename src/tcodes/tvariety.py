@@ -307,11 +307,16 @@ class GradedSections:
 
 
 def graded_sections(dp: DivisorialPolytope) -> GradedSections:
-    """Riemann-Roch bases of the floored slice divisors, one per weight."""
+    """Riemann-Roch bases of the floored slice divisors, one piece per
+    weight; weights with equal divisors share one basis."""
     pieces = []
+    bases: dict[frozenset, list[FunctionFieldElement]] = {}
     for u in dp.lattice_points():
         D = dp.value_at(u).floor()
-        pieces.append(GradedPiece(u, D, riemann_roch_basis(dp.curve, D)))
+        key = frozenset(D.coeffs.items())
+        if key not in bases:
+            bases[key] = riemann_roch_basis(dp.curve, D)
+        pieces.append(GradedPiece(u, D, bases[key]))
     return GradedSections(pieces)
 
 

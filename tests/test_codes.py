@@ -37,6 +37,7 @@ from tcodes import (
     weight_enumerator,
 )
 from tcodes.algebra import primitive_root, rational_floor
+from tcodes.cli import EXIT_OK, main
 from tcodes.curve import Divisor, FunctionFieldElement, riemann_roch_basis, twisted_evaluate, valuation
 from tcodes.instances import (
     marked_point_pair,
@@ -50,6 +51,7 @@ from tcodes.instances import (
     toric_comparison_example,
     toric_comparison_setup,
 )
+from tcodes.problemfile import parse
 from tcodes.tvariety import graded_sections, nu, project
 
 from test_curve import effective, random_functions
@@ -101,6 +103,24 @@ def test_twist_exponents():
     assert slice_pt not in rec.points
     idx = 0
     assert rec.twist_exponent(idx, (0,)) == 0
+
+
+def test_setup_takes_one_twist_per_distinct_slice(monkeypatch):
+    # The surface example marks two of E7's 13 rational points; the other 11
+    # read one shared zero slice, so three twists serve all 13 points.
+    twist = codes._affine_twist
+    seen = []
+
+    def counting(slice_):
+        seen.append(slice_)
+        return twist(slice_)
+
+    monkeypatch.setattr(codes, "_affine_twist", counting)
+    setup = EvaluationSetup.build(SURFACE)
+    assert len(seen) == len({id(s) for s in seen}) == 3
+    assert (len(E7.rational_points()), setup.l) == (13, 11)
+    assert setup.twists == [twist(SURFACE.slice_at(P)) for P in setup.points]
+    assert setup.points == [P for P in E7.rational_points() if twist(SURFACE.slice_at(P)) is not None]
 
 
 def test_record_setup_twists():
@@ -679,6 +699,47 @@ def test_wide_p1_box_shares_characters(p, monkeypatch):
             classes.setdefault(u[0] % (p - 1), set()).add(u)
         assert any(len(us) > 1 for us in classes.values())
         assert code.k < len(code.rows)
+
+
+# Every evaluation point is flat: Q1's slice is not affine, so Q1 is left out,
+# and infinity's slice is constant.
+FLAT_101_TEXT = """\
+field p=101
+curve elliptic A=0 B=3
+point O = infinity
+point Q1 = (1,2)
+box [0,3]
+hstar O : (0,4) (3,4)
+hstar Q1 : (0,0) (1,2) (3,1)
+eval all-admissible
+"""
+
+
+def test_info_builds_no_code_rows(tmp_path, monkeypatch, capsys):
+    # k comes from the l-vectors, and d_upper weighs flat points by a closed
+    # form, so `tcode info` never makes a character table; the rows are built
+    # when first read, and equal the reference code's.
+    path = tmp_path / "flat101.tcode"
+    path.write_text(FLAT_101_TEXT)
+    calls = []
+    table = codes._characters
+
+    def counting(p, m, exponents):
+        calls.append(p)
+        return table(p, m, exponents)
+
+    monkeypatch.setattr(codes, "_characters", counting)
+    assert main(["info", str(path)]) == EXIT_OK
+    assert "k = 20" in capsys.readouterr().out.splitlines()
+    setup = parse(FLAT_101_TEXT).to_setup()
+    code = build_code(setup)
+    assert (setup.n, code.k, calls) == (10100, 20, [])
+    rows, labels, selected = reference_build_code(setup)
+    assert (code.rows, code.row_labels, code.selected) == (rows, labels, selected)
+    assert code.generator() == MatrixFp([rows[i] for i in selected], setup.q)
+    assert calls == [101]
+    # Equality compares l-vectors and labels, whether or not rows were read.
+    assert code == build_code(setup)
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (11, 1), (5, 2), (7, 2), (3, 3)])

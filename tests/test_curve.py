@@ -22,8 +22,10 @@ from tcodes import (
 )
 from tcodes.algebra import MatrixFp, inv_mod, rational_floor
 from tcodes.curve import (
+    _echelonize_vectors,
     _points_above,
     _poly_on_series,
+    _rr_kernel,
     _series_mul,
     local_expansions,
 )
@@ -621,6 +623,31 @@ def test_riemann_roch_raw_basis_matches_reference(curve):
         assert basis == want, D
         for f in basis:
             assert effective(divisor_of(curve, f, curve.rational_points()) + D)
+
+
+@pytest.mark.parametrize("curve", RR_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")
+def test_riemann_roch_lowest_terms_match_public_constructor(curve):
+    # riemann_roch_basis divides the common factor of a, b and den out at
+    # den's known roots; the public constructor reduces the same (a + b y) /
+    # den by Euclid's gcd. Both must give the same parts, element for element.
+    rng = random.Random(4000 * curve.p + 10 * curve.A + curve.B)
+    divisors = random_divisors(rng, curve, 24) + high_pole_divisors(rng, curve, 12 if curve.p == 101 else 4)
+    p, affine = curve.p, curve.rational_points()[:-1]
+    torsion = {P.x for P in affine if P.y == 0 and not curve.is_p1}
+    removed = {False: 0, True: 0}  # factors x - x0 divided out, by whether x0 is 2-torsion
+    for D in divisors:
+        den, mult_by_x, monomials, vectors = _rr_kernel(curve, D)
+        if len(vectors) > 1:
+            vectors = _echelonize_vectors(curve, monomials, vectors, reference_anchor(D))
+        n_a = sum(1 for _, with_y in monomials if not with_y)
+        want = [FunctionFieldElement(curve, Poly(v[:n_a], p), Poly(v[n_a:], p), den) for v in vectors]
+        basis = riemann_roch_basis(curve, D)
+        assert [(f.a, f.b, f.c) for f in basis] == [(f.a, f.b, f.c) for f in want], D
+        for f in basis:
+            assert f.c.leading() == 1
+            for x0, m in mult_by_x.items():
+                removed[x0 in torsion] += m - f.c.multiplicity(x0)
+    assert {P.x in torsion for P in affine} == {kind for kind, n in removed.items() if n}
 
 
 @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")

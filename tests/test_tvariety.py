@@ -32,11 +32,14 @@ from tcodes import (
     volume,
     weil_divisor,
 )
+from tcodes import tvariety
 from tcodes.convex import make_point
+from tcodes.curve import riemann_roch_basis
 from tcodes.tvariety import RayTerm, TWeilDivisor, VertexTerm
 from tcodes.instances import (
     HEXAGON_VERTICES,
     marked_point_pair,
+    record_example,
     standard_elliptic,
     surface_example,
     threefold_example,
@@ -398,3 +401,29 @@ def test_dp_constructor_validation():
         DivisorialPolytope(E7, LatticePolytope.interval(0, 3), {Q1: s})
     with pytest.raises(ValueError):
         DivisorialPolytope(E7, LatticePolytope.interval(0, 4), {CurvePoint.affine(0, 1, 7): s})
+
+
+@pytest.mark.parametrize("name", ["surface", "threefold", "record"])
+def test_graded_sections_one_basis_per_divisor(name, monkeypatch):
+    # Weights whose floored slice divisors agree share one Riemann-Roch basis,
+    # and it equals the basis a fresh call gives at each weight.
+    dp = {
+        "surface": lambda: surface_example(standard_elliptic()),
+        "threefold": threefold_example,
+        "record": lambda: record_example().dp,
+    }[name]()
+    divisors = {repr(dp.value_at(u).floor()) for u in dp.lattice_points()}
+    assert name == "surface" or len(divisors) < len(dp.lattice_points())
+    calls = []
+
+    def counting(curve, D):
+        calls.append(D)
+        return riemann_roch_basis(curve, D)
+
+    monkeypatch.setattr(tvariety, "riemann_roch_basis", counting)
+    pieces = graded_sections(dp).pieces
+    assert len(calls) == len(divisors) == len(set(map(repr, calls)))
+    assert [piece.u for piece in pieces] == dp.lattice_points()
+    for piece in pieces:
+        assert piece.divisor == dp.value_at(piece.u).floor()
+        assert piece.basis == riemann_roch_basis(dp.curve, piece.divisor)
