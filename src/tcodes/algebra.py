@@ -1,18 +1,11 @@
-"""Exact arithmetic over prime fields: residues, polynomials, matrices, rationals."""
+"""Exact arithmetic over prime fields: residues, polynomials and matrices.
+
+Every row reduction over F_p is one forward elimination, `echelon`: the rank,
+reduced row echelon form and kernel of a `MatrixFp`, its independent rows, and
+the valuation echelon of Riemann-Roch bases all read it.
+"""
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import floor
-
-
-def rational_floor(x: Fraction | int) -> int:
-    """Floor toward minus infinity, e.g. floor(-1/2) = -1."""
-    return floor(x)
-
-
-def rational_ceil(x: Fraction | int) -> int:
-    return -floor(-Fraction(x))
 
 
 def is_prime(n: int) -> bool:
@@ -244,8 +237,37 @@ class Poly:
         return " + ".join(parts)
 
 
+def echelon(rows: list[list[int]], p: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """Forward elimination over F_p of rows of residues, taken in order.
+
+    While a row leads (has its first nonzero entry) at the lead column of an
+    earlier kept row, it loses the multiple of that row that cancels its
+    lead; a row that reaches zero is dropped. Returns the kept row indices,
+    their lead columns, which are distinct, and the kept rows as reduced,
+    not scaled.
+    """
+    kept: list[int] = []
+    leads: list[int] = []
+    reduced: list[list[int]] = []
+    by_lead: dict[int, tuple[list[int], int]] = {}
+    for i, v in enumerate(rows):
+        lead = next((j for j, c in enumerate(v) if c), None)
+        while lead in by_lead:
+            e, inv = by_lead[lead]
+            f = v[lead] * inv % p
+            v = [(c - f * d) % p for c, d in zip(v, e)]
+            lead = next((j for j in range(lead + 1, len(v)) if v[j]), None)
+        if lead is not None:
+            by_lead[lead] = v, inv_mod(v[lead], p)
+            kept.append(i)
+            leads.append(lead)
+            reduced.append(v)
+    return kept, leads, reduced
+
+
 class MatrixFp:
-    """Dense matrix over F_p with exact Gaussian elimination."""
+    """Dense matrix over F_p; its rank, RREF, kernel and independent rows
+    all come from one `echelon` of its rows."""
 
     def __init__(self, rows: list[list[int]], p: int):
         check_prime_field(p)
@@ -261,27 +283,21 @@ class MatrixFp:
         return len(self.rows[0]) if self.rows else 0
 
     def rank_and_rref(self) -> tuple[int, list[list[int]], list[int]]:
-        """Row-reduce; returns (rank, rref rows, pivot column indices)."""
+        """Row-reduce; returns (rank, rref rows padded with zero rows to the
+        matrix's height, pivot column indices)."""
         p = self.p
-        a = [row[:] for row in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for col in range(self.ncols):
-            pivot_row = next((i for i in range(r, len(a)) if a[i][col] % p != 0), None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            inv = inv_mod(a[r][col], p)
-            a[r] = [c * inv % p for c in a[r]]
-            for i in range(len(a)):
-                if i != r and a[i][col] % p != 0:
-                    f = a[i][col]
-                    a[i] = [(c - f * d) % p for c, d in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-            if r == len(a):
-                break
-        return r, a, pivots
+        _, leads, reduced = echelon(self.rows, p)
+        rref: list[list[int]] = []
+        # The leads are distinct, so the sort never compares rows.
+        for col, v in sorted(zip(leads, reduced)):
+            inv = inv_mod(v[col], p)
+            v = [c * inv % p for c in v]
+            for i, u in enumerate(rref):
+                if f := u[col]:
+                    rref[i] = [(c - f * d) % p for c, d in zip(u, v)]
+            rref.append(v)
+        rank = len(rref)
+        return rank, rref + [[0] * self.ncols for _ in range(len(self.rows) - rank)], sorted(leads)
 
     def rank(self) -> int:
         return self.rank_and_rref()[0]
@@ -303,25 +319,7 @@ class MatrixFp:
 
     def independent_row_indices(self) -> list[int]:
         """Indices of the first maximal linearly independent subset of rows."""
-        p = self.p
-        echelon: list[list[int]] = []
-        lead_cols: list[int] = []
-        picked = []
-        for idx, row in enumerate(self.rows):
-            v = row[:]
-            for lc, er in zip(lead_cols, echelon):
-                if v[lc]:
-                    f = v[lc]
-                    v = [(c - f * d) % p for c, d in zip(v, er)]
-            lead = next((j for j, c in enumerate(v) if c % p != 0), None)
-            if lead is None:
-                continue
-            inv = inv_mod(v[lead], p)
-            v = [c * inv % p for c in v]
-            echelon.append(v)
-            lead_cols.append(lead)
-            picked.append(idx)
-        return picked
+        return echelon(self.rows, self.p)[0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MatrixFp) and self.p == other.p and self.rows == other.rows

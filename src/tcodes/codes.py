@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import isqrt, prod
+from math import floor, isqrt, prod
 
 import numpy as np
 
-from .algebra import MatrixFp, Poly, is_prime_power, primitive_root, rational_floor
+from .algebra import MatrixFp, Poly, is_prime_power, primitive_root
 from .convex import ConcavePL, LatticePolytope
 from .curve import (
     INFINITY,
@@ -315,7 +315,7 @@ def k_bounds(dp: DivisorialPolytope) -> KBounds:
     for u in pts:
         # Floor degree, effectivity and rational degree from one evaluation.
         values = dp.value_at(u).coeffs.values()
-        floor_deg = sum(rational_floor(v) for v in values)
+        floor_deg = sum(floor(v) for v in values)
         sharp_total += floor_deg
         x = floor_deg + 1 - g
         if x > 0:
@@ -418,7 +418,7 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
-    floors = {u: [rational_floor(dp.slice_at(Q).evaluate(u)) for Q in stored] for u in dp.lattice_points()}
+    floors = {u: [floor(dp.slice_at(Q).evaluate(u)) for Q in stored] for u in dp.lattice_points()}
     bases: dict[tuple[tuple[int, ...], int], list[FunctionFieldElement]] = {}
     candidates: list[tuple[int, tuple, int, FunctionFieldElement]] = []
     for B in _sub_boxes(dp, q):

@@ -17,11 +17,9 @@ from bisect import bisect
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import add, mul
 from typing import Iterable, Sequence
-
-from .algebra import rational_ceil, rational_floor
 
 Point = tuple[Fraction, ...]
 IntPoint = tuple[int, ...]
@@ -529,7 +527,7 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:
     """Sum of floor(f(u)) over the lattice points of the domain."""
-    return sum(rational_floor(f.evaluate(u)) for u in f.domain_lattice_points())
+    return sum(floor(f.evaluate(u)) for u in f.domain_lattice_points())
 
 
 def signed_ceiling_interior_sum(f: ConcavePL) -> int:
@@ -537,15 +535,15 @@ def signed_ceiling_interior_sum(f: ConcavePL) -> int:
     if f.m != 1:
         raise ValueError("interior counting is defined on intervals")
     dv = f.domain_vertices()
-    lo = rational_floor(dv[0][0]) + 1
-    hi = rational_ceil(dv[-1][0]) - 1
+    lo = floor(dv[0][0]) + 1
+    hi = ceil(dv[-1][0]) - 1
     total = 0
     for u in range(lo, hi + 1):
         x = f.evaluate(u)
         if x > 0:
-            total += rational_ceil(x)
+            total += ceil(x)
         elif x < 0:
-            total -= rational_ceil(-x)
+            total -= ceil(-x)
     return total
 
 

@@ -13,9 +13,10 @@ expansions give leading coefficients, each asserting against the other.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import Iterable, NamedTuple
 
-from .algebra import MatrixFp, Poly, check_prime_field, inv_mod, rational_floor
+from .algebra import MatrixFp, Poly, check_prime_field, echelon, inv_mod
 
 
 class CurvePoint(NamedTuple):
@@ -203,7 +204,7 @@ class Divisor:
         return Divisor({P: c * k for P, c in self.coeffs.items()})
 
     def floor(self) -> "Divisor":
-        return Divisor({P: rational_floor(c) for P, c in self.coeffs.items()})
+        return Divisor({P: floor(c) for P, c in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Divisor) and self.coeffs == other.coeffs
@@ -582,8 +583,8 @@ def _rr_kernel(curve: Curve, D: Divisor) -> tuple[Poly, dict[int, int], list[Mon
         den = den * Poly.x_minus(x0, p) ** m
     dc = den.degree
     # x^i / den has a pole of order m (i - dc) at infinity and x^j y / den one of 2 (j - dc) + 3.
-    cap_a = dc + rational_floor(Fraction(n_inf, _x_pole_order(curve)))
-    cap_b = dc + rational_floor(Fraction(n_inf - 3, 2)) if curve.kind == "elliptic" else -1
+    cap_a = dc + floor(Fraction(n_inf, _x_pole_order(curve)))
+    cap_b = dc + floor(Fraction(n_inf - 3, 2)) if curve.kind == "elliptic" else -1
     monomials: list[Monomial] = [(i, False) for i in range(cap_a + 1)]
     monomials += [(j, True) for j in range(cap_b + 1)]
     if not monomials:
@@ -630,36 +631,20 @@ def _echelonize_vectors(
 
     den is common, so valuations and leading-coefficient ratios are those of
     a + b y: the index and value of the first nonzero entry of its series.
-    While two vectors share a valuation, the second member of the first such
-    class loses the multiple of the first that cancels its leading term; the
-    vectors are then sorted by decreasing valuation.
+    Each vector, in order, loses the multiples of earlier ones that cancel
+    its leading term while it shares their valuation (`echelon` on the
+    series); the vectors are then sorted by decreasing valuation.
     """
     p = curve.p
     rows = _anchor_rows(curve, monomials, anchor)
     prec = len(rows)
-
-    def lowest(w: list[int]) -> int:
-        k = next((k for k in range(prec) if w[k]), None)
-        assert k is not None, "series precision below the leading term"
-        return k
-
     # Each vector rides behind its series, so one row operation updates both.
     work = [[sum(r * c for r, c in zip(row, v)) % p for row in rows] + v for v in vectors]
-    orders = [lowest(w) for w in work]
-    while True:
-        by_order: dict[int, list[int]] = {}
-        for i, k in enumerate(orders):
-            by_order.setdefault(k, []).append(i)
-        clash = next((idxs for idxs in by_order.values() if len(idxs) > 1), None)
-        if clash is None:
-            break
-        keep, other = clash[0], clash[1]
-        k = orders[keep]
-        factor = work[other][k] * inv_mod(work[keep][k], p) % p
-        work[other] = [(u - factor * v) % p for u, v in zip(work[other], work[keep])]
-        assert any(work[other][prec:]), "basis was linearly dependent"
-        orders[other] = lowest(work[other])
-    return [work[i][prec:] for i in sorted(range(len(work)), key=lambda i: -orders[i])]
+    _, orders, reduced = echelon(work, p)
+    assert all(k < prec for k in orders), "series precision below the leading term"
+    assert len(reduced) == len(work), "basis was linearly dependent"
+    # The orders are distinct, so the sort never compares vectors.
+    return [w[prec:] for _, w in sorted(zip(orders, reduced), reverse=True)]
 
 
 def divisor_of(curve: Curve, f: FunctionFieldElement, candidates: Iterable[CurvePoint]) -> Divisor:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, floor, lcm
 
-from .algebra import rational_floor
 from .convex import (
     ConcavePL,
     LatticePolytope,
@@ -67,7 +66,7 @@ class DivisorialPolytope:
         return sum((s.evaluate(u) for s in self.slices.values()), Fraction(0))
 
     def floor_deg_at(self, u) -> int:
-        return sum(rational_floor(s.evaluate(u)) for s in self.slices.values())
+        return sum(floor(s.evaluate(u)) for s in self.slices.values())
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         return self.box.lattice_points()

@@ -1,7 +1,6 @@
 """Finite-field polynomial and matrix arithmetic."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,21 +14,12 @@ from tcodes.algebra import (
     is_prime,
     is_prime_power,
     primitive_root,
-    rational_ceil,
-    rational_floor,
 )
+from tcodes.curve import _rr_kernel
+
+from test_curve import RR_CURVES, high_pole_divisors, random_divisors
 
 PRIMES = [2, 3, 5, 7, 11, 13]
-
-
-def test_rational_floor_rounds_toward_minus_infinity():
-    assert rational_floor(Fraction(7, 2)) == 3
-    assert rational_floor(Fraction(-1, 2)) == -1
-    assert rational_floor(Fraction(-7, 2)) == -4
-    assert rational_floor(5) == 5
-    assert rational_ceil(Fraction(7, 2)) == 4
-    assert rational_ceil(Fraction(-7, 2)) == -3
-    assert rational_ceil(-2) == -2
 
 
 def test_is_prime():
@@ -184,3 +174,103 @@ def test_rank_equals_transpose_rank():
                 rows.append([rng.randrange(p) for _ in range(w)])
             m = MatrixFp(rows, p)
             assert m.rank() == MatrixFp([list(col) for col in zip(*rows)], p).rank()
+
+
+def reference_rank_and_rref(m):
+    """The former Gauss-Jordan loop of `MatrixFp.rank_and_rref`."""
+    p = m.p
+    a = [row[:] for row in m.rows]
+    pivots = []
+    r = 0
+    for col in range(m.ncols):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col] % p != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = inv_mod(a[r][col], p)
+        a[r] = [c * inv % p for c in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] % p != 0:
+                f = a[i][col]
+                a[i] = [(c - f * d) % p for c, d in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(a):
+            break
+    return r, a, pivots
+
+
+def reference_independent_row_indices(m):
+    """The former scaled-echelon loop of `MatrixFp.independent_row_indices`."""
+    p = m.p
+    echelon = []
+    lead_cols = []
+    picked = []
+    for idx, row in enumerate(m.rows):
+        v = row[:]
+        for lc, er in zip(lead_cols, echelon):
+            if v[lc]:
+                f = v[lc]
+                v = [(c - f * d) % p for c, d in zip(v, er)]
+        lead = next((j for j, c in enumerate(v) if c % p != 0), None)
+        if lead is None:
+            continue
+        inv = inv_mod(v[lead], p)
+        v = [c * inv % p for c in v]
+        echelon.append(v)
+        lead_cols.append(lead)
+        picked.append(idx)
+    return picked
+
+
+def assert_matches_reference(m):
+    assert m.rank_and_rref() == reference_rank_and_rref(m), m.rows
+    assert m.independent_row_indices() == reference_independent_row_indices(m), m.rows
+
+
+def random_matrix_rows(rng, p):
+    """0-9 rows of 1-11 columns: random rows, zero rows, and combinations
+    of earlier rows."""
+    width = rng.randint(1, 11)
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * width)
+        elif kind < 0.5 and rows:
+            row = [0] * width
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                f = rng.randrange(p)
+                row = [c + f * d for c, d in zip(row, earlier)]
+            rows.append(row)
+        else:
+            # Sparse rows too, so leads clash at later columns.
+            rows.append([rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(width)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1])
+def test_elimination_matches_the_former_loops(p):
+    rng = random.Random(5000 + p % 1000)
+    for _ in range(400):
+        assert_matches_reference(MatrixFp(random_matrix_rows(rng, p), p))
+    for rows in ([], [[0]], [[3]], [[0], [1], [2]], [[0, 0, 0]] * 3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
+        assert_matches_reference(MatrixFp(rows, p))
+
+
+def test_elimination_matches_the_former_loops_on_riemann_roch_constraints(monkeypatch):
+    constraints = []
+
+    class Recording(MatrixFp):
+        def __init__(self, rows, p):
+            super().__init__(rows, p)
+            constraints.append(self)
+
+    monkeypatch.setattr("tcodes.curve.MatrixFp", Recording)
+    for curve in RR_CURVES:
+        rng = random.Random(6000 * curve.p + 10 * curve.A + curve.B)
+        for D in random_divisors(rng, curve, 12) + high_pole_divisors(rng, curve, 6):
+            _rr_kernel(curve, D)
+    assert len(constraints) > 100
+    for m in constraints:
+        assert_matches_reference(m)

@@ -36,7 +36,7 @@ from tcodes import (
     toric_generator,
     weight_enumerator,
 )
-from tcodes.algebra import primitive_root, rational_floor
+from tcodes.algebra import primitive_root
 from tcodes.cli import EXIT_OK, main
 from tcodes.curve import Divisor, FunctionFieldElement, riemann_roch_basis, twisted_evaluate, valuation
 from tcodes.instances import (
@@ -837,7 +837,7 @@ def reference_d_upper(setup):
             if all(s <= c <= t for c, (s, t) in zip(u, B))
         ]
         coeffs = {
-            Q: rational_floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in stored
+            Q: math.floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in stored
         }
         r0 = max(0, min(sum(coeffs.values()) - g, l))
         D = Divisor({Q: c for Q, c in coeffs.items()})
@@ -918,7 +918,7 @@ def test_d_upper_one_basis_per_divisor(monkeypatch):
     viable, divisors = 0, set()
     for B in reference_sub_boxes(dp, q):
         cells = list(itertools.product(*(range(s, t + 1) for s, t in B)))
-        c = tuple(rational_floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in dp.stored_points())
+        c = tuple(math.floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in dp.stored_points())
         r0 = max(0, min(sum(c) - g, l))
         if (l - r0) * math.prod(q - 1 - (t - s) for s, t in B) > 0:
             viable += 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -14,7 +15,6 @@ from tcodes import (
     sup_convolution,
     toric_polytope,
 )
-from tcodes.algebra import rational_ceil, rational_floor
 from tcodes.convex import (
     Facet,
     Point,
@@ -657,13 +657,13 @@ def random_pl_graphs(rng):
 
 def reference_lattice_points(f, dv):
     if f.m == 1:
-        return [(u,) for u in range(rational_ceil(dv[0][0]), rational_floor(dv[-1][0]) + 1)]
+        return [(u,) for u in range(ceil(dv[0][0]), floor(dv[-1][0]) + 1)]
     xs = [p[0] for p in dv]
     ys = [p[1] for p in dv]
     return [
         (x, y)
-        for x in range(rational_ceil(min(xs)), rational_floor(max(xs)) + 1)
-        for y in range(rational_ceil(min(ys)), rational_floor(max(ys)) + 1)
+        for x in range(ceil(min(xs)), floor(max(xs)) + 1)
+        for y in range(ceil(min(ys)), floor(max(ys)) + 1)
         if hull_contains(dv, make_point((x, y)))
     ]
 
@@ -676,7 +676,7 @@ def rational_probes(rng, f, dv):
     pts = []
     for _ in range(6):
         den = rng.randint(1, 4)
-        pts.append(tuple(Fraction(rng.randint(rational_floor(den * (a - 1)), rational_ceil(den * (b + 1))), den) for a, b in zip(lo, hi)))
+        pts.append(tuple(Fraction(rng.randint(floor(den * (a - 1)), ceil(den * (b + 1))), den) for a, b in zip(lo, hi)))
         (q, _), (r, _) = rng.choice(f.vertices), rng.choice(f.vertices)
         t = Fraction(rng.randint(-4, 12), 8)
         pts.append(tuple(qc + t * (rc - qc) for qc, rc in zip(q, r)))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -20,8 +21,9 @@ from tcodes import (
     twisted_evaluate,
     valuation,
 )
-from tcodes.algebra import MatrixFp, inv_mod, rational_floor
+from tcodes.algebra import MatrixFp, inv_mod
 from tcodes.curve import (
+    _anchor_rows,
     _echelonize_vectors,
     _points_above,
     _poly_on_series,
@@ -392,8 +394,8 @@ def reference_rr_raw_basis(curve, D):
     for x0, m in sorted(mult_by_x.items()):
         den = den * Poly.x_minus(x0, p) ** m
     dc = den.degree
-    cap_a = dc + rational_floor(Fraction(n_O, 2))
-    cap_b = dc + rational_floor(Fraction(n_O - 3, 2))
+    cap_a = dc + floor(Fraction(n_O, 2))
+    cap_b = dc + floor(Fraction(n_O - 3, 2))
     monomials = [(i, False) for i in range(cap_a + 1)]
     monomials += [(j, True) for j in range(cap_b + 1)]
     if not monomials:
@@ -648,6 +650,17 @@ def test_riemann_roch_lowest_terms_match_public_constructor(curve):
             for x0, m in mult_by_x.items():
                 removed[x0 in torsion] += m - f.c.multiplicity(x0)
     assert {P.x in torsion for P in affine} == {kind for kind, n in removed.items() if n}
+
+
+def test_valuation_echelon_asserts_still_fire(monkeypatch):
+    monomials = [(0, False), (1, False), (2, False)]
+    with pytest.raises(AssertionError, match="^basis was linearly dependent$"):
+        _echelonize_vectors(L7, monomials, [[1, 2, 0], [1, 2, 0]], INFINITY)
+    # At infinity the first anchor row reads only x^2, so the series of 1 and x
+    # are zero to that precision.
+    monkeypatch.setattr("tcodes.curve._anchor_rows", lambda *args: _anchor_rows(*args)[:1])
+    with pytest.raises(AssertionError, match="^series precision below the leading term$"):
+        _echelonize_vectors(L7, monomials, [[1, 0, 0], [0, 1, 0]], INFINITY)
 
 
 @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda C: f"{C.kind}-{C.p}-{C.A}-{C.B}")

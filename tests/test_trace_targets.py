@@ -68,4 +68,6 @@ def test_work_counts_read_the_traced_arguments():
     # Every sub-interval of [0, 2]: its sides are at most 2 <= p - 2.
     assert got["codes.d_upper_sub_boxes"] == 6
     assert got["codes.classes_enumerated"] == (p**3 - 1) // (p - 1)
+    # Every row reduction goes through the two traced MatrixFp methods.
+    assert got["algebra.row_reduce_calls"] == 4
     assert got["convex.errors"] == got["curve.errors"] == got["codes.errors"] == 0
