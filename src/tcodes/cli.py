@@ -32,7 +32,6 @@ from .tvariety import (
     euler_characteristic,
     genus_of_section,
     is_ample,
-    is_semiample,
     self_intersection,
     validate,
     volume,
@@ -55,7 +54,7 @@ def _run_validate(dp: DivisorialPolytope) -> int:
     for cond in report.conditions:
         print(f"{cond.name} = {'pass' if cond.ok else 'fail: ' + cond.detail}")
     print(f"valid = {str(report.ok).lower()}")
-    print(f"semiample = {str(is_semiample(dp)).lower()}")
+    print(f"semiample = {str(report.semiample).lower()}")
     print(f"ample = {str(is_ample(dp)).lower()}")
     return EXIT_OK if report.ok else EXIT_INVALID
 

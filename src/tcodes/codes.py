@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import floor, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -309,21 +309,11 @@ def k_bounds(dp: DivisorialPolytope) -> KBounds:
     condition, which leaves room for floor drops at interior weights.
     """
     g = dp.curve.genus
-    pts = dp.lattice_points()
-    sharp_total = gamma = 0
-    equality = True
-    for u in pts:
-        # Floor degree, effectivity and rational degree from one evaluation.
-        values = dp.value_at(u).coeffs.values()
-        floor_deg = sum(floor(v) for v in values)
-        sharp_total += floor_deg
-        x = floor_deg + 1 - g
-        if x > 0:
-            gamma += x
-        elif all(v >= 0 for v in values):
-            gamma += 1
-        equality = equality and sum(values) > 2 * g - 2
-    return KBounds(sharp_total + len(pts) * (1 - g), gamma, sharp_total + len(pts), equality)
+    ats = [dp.at(u) for u in dp.lattice_points()]
+    sharp_total = sum(at.floor_degree for at in ats)
+    gamma = sum(max(at.floor_degree + 1 - g, 0) or at.effective for at in ats)
+    equality = all(at.degree > 2 * g - 2 for at in ats)
+    return KBounds(sharp_total + len(ats) * (1 - g), gamma, sharp_total + len(ats), equality)
 
 
 @dataclass
@@ -336,7 +326,7 @@ def d_lower_surface(dp: DivisorialPolytope, l: int, q: int) -> DistanceBound:
     """Minimize (l - lambda) * (q - 1 - nu(lambda)) over feasible lambda (m = 1)."""
     if dp.m != 1:
         raise ValueError("the direct bound applies to interval boxes")
-    degs = [(dp.floor_deg_at(u), u[0]) for u in dp.lattice_points()]
+    degs = [(dp.at(u).floor_degree, u[0]) for u in dp.lattice_points()]
     lam0 = max(d for d, _ in degs)
     if lam0 < 0:
         raise ValueError("no sections: every floored degree is negative")
@@ -409,21 +399,21 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     (only possible when the code's section map has a kernel), the value falls
     back to the code length.
 
-    Each slice is floored once at every weight, and each box reads its c_j
-    at its corners, built directly; one Riemann-Roch basis, and one count of
-    the flat points where its first element is nonzero, serves every box
-    with the same (c, r0). With no stored slice every c is empty and the
-    certificate is a constant.
+    Each box, built directly, reads its c_j from the floored slice divisors
+    at its corners (`DivisorialPolytope.at`); one Riemann-Roch basis, and
+    one count of the flat points where its first element is nonzero, serves
+    every box with the same (c, r0). With no stored slice every c is empty
+    and the certificate is a constant.
     """
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
-    floors = {u: [floor(dp.slice_at(Q).evaluate(u)) for Q in stored] for u in dp.lattice_points()}
     bases: dict[tuple[tuple[int, ...], int], list[FunctionFieldElement]] = {}
     candidates: list[tuple[int, tuple, int, FunctionFieldElement]] = []
     for B in _sub_boxes(dp, q):
         # Every slice is concave, so its minimum over B is at a corner.
-        c = tuple(min(column) for column in zip(*(floors[u] for u in product(*B))))
+        corners = [dp.at(u).floor for u in product(*B)]
+        c = tuple(int(min(D[Q] for D in corners)) for Q in stored)
         r0 = max(0, min(sum(c) - g, l))
         bound = (l - r0) * prod(q - 1 - (t - s) for s, t in B)
         if bound <= 0:

@@ -7,6 +7,11 @@ module validates the defining conditions, expands the associated Weil
 divisor, tests positivity, computes graded section spaces, exact volumes,
 intersection numbers, the section-curve genus and Euler characteristic, and
 the projection used by the inductive distance bound.
+
+Here and in `codes`, the slices at a lattice weight u are read from one
+per-weight record, `DivisorialPolytope.at(u)`, filled on first read; only
+the runtime cross-checks in `sharp` and `euler_characteristic` evaluate the
+slices themselves, so each still compares two independent routes.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor, lcm
+from typing import NamedTuple
 
 from .convex import (
     ConcavePL,
@@ -26,6 +32,19 @@ from .convex import (
     sup_convolution,
 )
 from .curve import Curve, CurvePoint, Divisor, FunctionFieldElement, is_principal, riemann_roch_basis
+
+
+class WeightSlices(NamedTuple):
+    """The slices of a divisorial polytope at one lattice weight u."""
+
+    value: Divisor  # sum over the stored points P of h_P(u) * P
+    floor: Divisor
+    degree: Fraction
+    floor_degree: int
+
+    @property
+    def effective(self) -> bool:
+        return all(c >= 0 for c in self.value.coeffs.values())
 
 
 class DivisorialPolytope:
@@ -43,6 +62,7 @@ class DivisorialPolytope:
         self.box = box
         self.slices = {P: s for P, s in slices.items()}
         self._zero_slice: ConcavePL | None = None
+        self._at: dict[tuple[int, ...], WeightSlices] = {}
 
     @property
     def m(self) -> int:
@@ -59,14 +79,13 @@ class DivisorialPolytope:
             self._zero_slice = ConcavePL.constant_on(self.box, 0)
         return self._zero_slice
 
-    def value_at(self, u) -> Divisor:
-        return Divisor({P: s.evaluate(u) for P, s in self.slices.items()})
-
-    def deg_at(self, u) -> Fraction:
-        return sum((s.evaluate(u) for s in self.slices.values()), Fraction(0))
-
-    def floor_deg_at(self, u) -> int:
-        return sum(floor(s.evaluate(u)) for s in self.slices.values())
+    def at(self, u: tuple[int, ...]) -> WeightSlices:
+        """The slices at the lattice weight u, evaluated on first read and kept."""
+        if u not in self._at:
+            value = Divisor({P: s.evaluate(u) for P, s in self.slices.items()})
+            floored = value.floor()
+            self._at[u] = WeightSlices(value, floored, value.degree(), int(floored.degree()))
+        return self._at[u]
 
     def lattice_points(self) -> list[tuple[int, ...]]:
         return self.box.lattice_points()
@@ -126,6 +145,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions)
 
+    @property
+    def semiample(self) -> bool:
+        """Nonnegative vertex degrees, with principal multiples where zero."""
+        return self.conditions[0].ok and self.conditions[1].ok
+
     def failures(self) -> list[str]:
         return [f"{c.name}: {c.detail}" for c in self.conditions if not c.ok]
 
@@ -146,37 +170,23 @@ def _principal_multiple_exists(curve: Curve, D: Divisor) -> int | None:
 
 def validate(dp: DivisorialPolytope) -> ValidationReport:
     """Check the three defining conditions of a divisorial polytope."""
-    conditions: list[ConditionReport] = []
-    bad = [v for v in dp.box.vertices if dp.deg_at(v) < 0]
-    conditions.append(
-        ConditionReport(
-            "degree-nonnegative-at-vertices",
-            not bad,
-            "ok" if not bad else f"negative degree at {bad}",
-        )
-    )
-    failures = []
-    for v in dp.box.vertices:
-        if dp.deg_at(v) == 0:
-            k = _principal_multiple_exists(dp.curve, dp.value_at(v))
-            if k is None:
-                failures.append(v)
-    conditions.append(
-        ConditionReport(
+    at = {v: dp.at(v) for v in dp.box.vertices}
+    checks = [
+        ("degree-nonnegative-at-vertices", "negative degree", [v for v, a in at.items() if a.degree < 0]),
+        (
             "principal-multiple-at-degree-zero-vertices",
-            not failures,
-            "ok" if not failures else f"no principal multiple at {failures}",
-        )
-    )
-    nonintegral = [P.render() for P, s in dp.slices.items() if not s.is_integral()]
-    conditions.append(
-        ConditionReport(
+            "no principal multiple",
+            [v for v, a in at.items() if a.degree == 0 and _principal_multiple_exists(dp.curve, a.value) is None],
+        ),
+        (
             "lattice-graph-vertices",
-            not nonintegral,
-            "ok" if not nonintegral else f"non-lattice slice graphs at {nonintegral}",
-        )
+            "non-lattice slice graphs",
+            [P.render() for P, s in dp.slices.items() if not s.is_integral()],
+        ),
+    ]
+    return ValidationReport(
+        [ConditionReport(name, not bad, f"{what} at {bad}" if bad else "ok") for name, what, bad in checks]
     )
-    return ValidationReport(conditions)
 
 
 def _mu(v: Point) -> int:
@@ -274,15 +284,14 @@ def weil_divisor(dp: DivisorialPolytope) -> TWeilDivisor:
 
 def is_semiample(dp: DivisorialPolytope) -> bool:
     """Nonnegative vertex degrees, with principal multiples where zero."""
-    report = validate(dp)
-    return report.conditions[0].ok and report.conditions[1].ok
+    return validate(dp).semiample
 
 
 def is_ample(dp: DivisorialPolytope) -> bool:
     """Strictly concave slices and strictly positive vertex degrees."""
     if any(s.had_collinear for s in dp.slices.values()):
         return False
-    return all(dp.deg_at(v) > 0 for v in dp.box.vertices)
+    return all(dp.at(v).degree > 0 for v in dp.box.vertices)
 
 
 @dataclass
@@ -311,7 +320,7 @@ def graded_sections(dp: DivisorialPolytope) -> GradedSections:
     pieces = []
     bases: dict[frozenset, list[FunctionFieldElement]] = {}
     for u in dp.lattice_points():
-        D = dp.value_at(u).floor()
+        D = dp.at(u).floor
         key = frozenset(D.coeffs.items())
         if key not in bases:
             bases[key] = riemann_roch_basis(dp.curve, D)
@@ -370,7 +379,7 @@ def sharp(dp: DivisorialPolytope) -> int:
 
     Computed both pointwise and per slice; the two routes must agree.
     """
-    by_points = sum(dp.floor_deg_at(u) for u in dp.lattice_points())
+    by_points = sum(dp.at(u).floor_degree for u in dp.lattice_points())
     by_slices = sum(floor_sum_over_lattice(s) for s in dp.slices.values())
     assert by_points == by_slices, "floor-degree bookkeeping mismatch"
     return by_points
@@ -398,14 +407,14 @@ def euler_characteristic(dp: DivisorialPolytope) -> tuple[int, int, int]:
     const = sharp(dp) + n_pts
     coeff = -n_pts
     value = const + coeff * g
-    alt = sum(dp.floor_deg_at(u) + 1 - g for u in dp.lattice_points())
+    alt = sum(sum(floor(s.evaluate(u)) for s in dp.slices.values()) + 1 - g for u in dp.lattice_points())
     assert value == alt, "Euler characteristic forms disagree"
     return const, coeff, value
 
 
 def box_lambda(dp: DivisorialPolytope, lam: int) -> list[tuple[int, ...]]:
     """Lattice weights whose floored total degree is at least lam."""
-    return [u for u in dp.lattice_points() if dp.floor_deg_at(u) >= lam]
+    return [u for u in dp.lattice_points() if dp.at(u).floor_degree >= lam]
 
 
 def nu(dp: DivisorialPolytope, lam: int) -> int:
@@ -439,7 +448,7 @@ def project(dp: DivisorialPolytope) -> DivisorialPolytope:
     for P, s in dp.slices.items():
         graph = []
         for u1 in range(lo, hi + 1):
-            val = max(s.evaluate(u) for u in fibers[u1])
+            val = max(dp.at(u).value[P] for u in fibers[u1])
             graph.append(((u1,), val))
         env = ConcavePL.from_graph_points(graph)
         for (u1,), val in graph:

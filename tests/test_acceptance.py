@@ -64,9 +64,11 @@ from tcodes.instances import (
 )
 
 from test_properties import (
+    floor_degree,
     random_divisor,
     random_divpoly,
     random_lattice_slice,
+    slice_values,
     small_code_instance,
 )
 
@@ -143,7 +145,7 @@ def test_criterion_03_elliptic_code_parameters():
         problems.append(f"(n, k) = {(setup.n, code.k)} != (66, 8)")
     if [nu(SURFACE, lam) for lam in range(4)] != [4, 3, 1, 0]:
         problems.append("nu profile mismatch")
-    if max(SURFACE.floor_deg_at(u) for u in SURFACE.lattice_points()) != 3:
+    if max(floor_degree(SURFACE, u) for u in SURFACE.lattice_points()) != 3:
         problems.append("lambda0 != 3")
     lo, hi = d_lower(setup).value, d_upper(setup).value
     if (lo, hi) != (22, 33):
@@ -175,7 +177,7 @@ def test_criterion_05_toric_cross_check():
         dp = toric_comparison_example(q)
         lattice = []
         for u in range(3):
-            lattice.extend((u, v) for v in range(int(dp.deg_at((u,))) + 1))
+            lattice.extend((u, v) for v in range(int(sum(slice_values(dp, (u,)).values())) + 1))
         enum_toric = weight_enumerator(toric_generator(q, lattice))
         if enum_t != enum_toric:
             problems.append(f"enumerators differ at q={q}")
@@ -304,7 +306,7 @@ def test_criterion_07_ruled_family_forms_and_claims():
         l = rng.randint(1, len(curve.rational_points()))
         q = curve.p
         closed = ruled_closed_forms(a, alpha, b, l, q, g)
-        lam0 = max(dp.floor_deg_at(u) for u in dp.lattice_points())
+        lam0 = max(floor_degree(dp, u) for u in dp.lattice_points())
         if closed["lambda0"] != lam0:
             mismatches += 1
         if closed["d_lower"] != d_lower_surface(dp, l, q).value:

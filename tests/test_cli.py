@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tcodes import ConcavePL
+from tcodes import ConcavePL, cli, tvariety
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +86,47 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
         graph((0, 0), (2, 2), (3, 1), (4, -1)): 1,
         graph((0, 0), (4, 0)): 1,
     }
+
+
+def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
+    # Outside the three routes that cross-check the per-weight records by
+    # evaluating the slices themselves, each (stored slice, weight) pair is
+    # evaluated once. In all: 2 slices x 5 weights for the records, 10 each
+    # for sharp's per-slice sums and chi's per-weight form, and 6 for the
+    # interior ceiling count, 36 calls.
+    cross_checks = {"floor_sum_over_lattice", "signed_ceiling_interior_sum", "euler_characteristic"}
+    evaluate = ConcavePL.evaluate
+    outside, total = Counter(), Counter()
+
+    def counting(s, u):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # comprehensions
+            frame = frame.f_back
+        total[frame.f_code.co_name] += 1
+        if frame.f_code.co_name not in cross_checks:
+            outside[id(s), u] += 1
+        return evaluate(s, u)
+
+    monkeypatch.setattr(ConcavePL, "evaluate", counting)
+    code, _, _ = run(capsys, ["info", SAMPLE])
+    assert code == EXIT_OK
+    assert sorted(outside.values()) == [1] * 10
+    assert total == {"at": 10, "floor_sum_over_lattice": 10, "euler_characteristic": 10, "signed_ceiling_interior_sum": 6}
+
+
+def test_validate_runs_the_checks_once(monkeypatch, capsys):
+    calls = []
+    validate = tvariety.validate
+
+    def counting(dp):
+        calls.append(dp)
+        return validate(dp)
+
+    monkeypatch.setattr(tvariety, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    code, out, _ = run(capsys, ["validate", SAMPLE])
+    assert code == EXIT_OK and "semiample = true" in out
+    assert len(calls) == 1
 
 
 def test_validate_polygon_with_a_hundred_graph_points(tmp_path, capsys):

@@ -52,10 +52,10 @@ from tcodes.instances import (
     toric_comparison_setup,
 )
 from tcodes.problemfile import parse
-from tcodes.tvariety import graded_sections, nu, project
+from tcodes.tvariety import graded_sections, project
 
-from test_curve import effective, random_functions
-from test_properties import small_code_instance
+from test_curve import random_functions
+from test_properties import floor_degree, slice_values, small_code_instance
 
 E7 = standard_elliptic()
 Q1, Q2 = marked_point_pair(E7)
@@ -276,7 +276,7 @@ def test_toric_generator_matches_setup():
     pts = toric_comparison_example(7)
     lattice = []
     for u in range(3):
-        top = pts.deg_at((u,))
+        top = sum(slice_values(pts, (u,)).values())
         lattice.extend((u, v) for v in range(int(top) + 1))
     gen = toric_generator(7, lattice)
     assert len(gen.rows) == 7
@@ -307,7 +307,7 @@ def test_ruled_closed_forms_match_generic():
         closed = ruled_closed_forms(a, alpha, b, l, q, 0)
         generic = d_lower_surface(dp, l, q)
         assert closed["d_lower"] == generic.value, (a, alpha, b, l, q)
-        assert closed["lambda0"] == max(dp.floor_deg_at(u) for u in dp.lattice_points())
+        assert closed["lambda0"] == max(floor_degree(dp, u) for u in dp.lattice_points())
 
 
 def test_compare_with_product_frozen():
@@ -473,15 +473,17 @@ def assert_code_matches_reference(setup, monkeypatch):
 
 
 def reference_d_lower_surface(dp, l, q):
-    """The former loop: nu(dp, lam), which re-evaluates every slice at every
-    weight, called once for each lam."""
-    lam0 = max(dp.floor_deg_at(u) for u in dp.lattice_points())
+    """The former loop: nu(lam), the width of the weights whose floored
+    degree is at least lam, re-evaluating every slice at every weight, once
+    for each lam."""
+    lam0 = max(floor_degree(dp, u) for u in dp.lattice_points())
     if lam0 < 0:
         raise ValueError("no sections: every floored degree is negative")
     best = None
     arg = 0
     for lam in range(lam0 + 1):
-        val = max(0, l - lam) * max(0, q - 1 - nu(dp, lam))
+        alive = [u for (u,) in dp.lattice_points() if floor_degree(dp, (u,)) >= lam]
+        val = max(0, l - lam) * max(0, q - 1 - (max(alive) - min(alive)))
         if best is None or val < best:
             best, arg = val, lam
     return codes.DistanceBound(best, f"lambda={arg} of lambda0={lam0}")
@@ -870,15 +872,15 @@ def reference_d_upper(setup):
 def reference_k_bounds(dp):
     g = dp.curve.genus
     pts = dp.lattice_points()
-    sharp_total = sum(dp.floor_deg_at(u) for u in pts)
+    sharp_total = sum(floor_degree(dp, u) for u in pts)
     gamma = 0
     for u in pts:
-        x = dp.floor_deg_at(u) + 1 - g
+        x = floor_degree(dp, u) + 1 - g
         if x > 0:
             gamma += x
-        elif effective(dp.value_at(u)):
+        elif all(v >= 0 for v in slice_values(dp, u).values()):
             gamma += 1
-    equality = all(dp.deg_at(u) > 2 * g - 2 for u in pts)
+    equality = all(sum(slice_values(dp, u).values()) > 2 * g - 2 for u in pts)
     return codes.KBounds(sharp_total + len(pts) * (1 - g), gamma, sharp_total + len(pts), equality)
 
 

@@ -69,7 +69,8 @@ def test_point_coordinates_normalized():
 
 def test_concave_data_accepted_and_rejected():
     peak = "field p=7\ncurve p1\npoint R = (0,0)\nbox [0,2]\nhstar R : (0,0) (1,5) (2,0)\n"
-    assert parse(peak).to_polytope().deg_at((1,)) == 5
+    dp = parse(peak).to_polytope()
+    assert [s.evaluate(1) for s in dp.slices.values()] == [5]
     dip = "field p=7\ncurve p1\npoint R = (0,0)\nbox [0,2]\nhstar R : (0,0) (1,-5) (2,0)\n"
     with pytest.raises(ParseError) as err:
         parse(dip)

@@ -7,7 +7,9 @@ outside it, so the boundary is part of the contract.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import floor
 
 import numpy as np
 
@@ -44,10 +46,21 @@ from tcodes import (
 )
 from tcodes.instances import standard_elliptic, threefold_example
 
+from test_convex import POLYGON_BOXES, folded_polygon_slices
 from test_curve import effective
 
 E7 = standard_elliptic()
 P1_7 = Curve.p1(7)
+
+
+def slice_values(dp, u) -> dict:
+    """Each stored slice at u by its own `ConcavePL.evaluate`: the per-call
+    path that the record `DivisorialPolytope.at` is checked against."""
+    return {P: s.evaluate(u) for P, s in dp.slices.items()}
+
+
+def floor_degree(dp, u) -> int:
+    return sum(floor(v) for v in slice_values(dp, u).values())
 
 
 def random_lattice_slice(rng, lo, hi, vmin=-4, vmax=4) -> ConcavePL:
@@ -132,7 +145,7 @@ def test_dimension_bounds_on_random_instances():
         k = graded_sections(dp).total_dim
         kb = k_bounds(dp)
         assert kb.lower <= kb.gamma <= k
-        floors = [dp.floor_deg_at(u) for u in dp.lattice_points()]
+        floors = [dp.at(u).floor_degree for u in dp.lattice_points()]
         if min(floors) >= -1:
             cap_cases += 1
             assert k <= kb.upper, (dp, k, kb)
@@ -185,7 +198,7 @@ def test_upper_cap_fails_on_deep_floor_drops():
     kb = k_bounds(dp)
     k = graded_sections(dp).total_dim
     assert kb.upper == -1
-    assert min(dp.floor_deg_at(u) for u in dp.lattice_points()) == -3
+    assert min(dp.at(u).floor_degree for u in dp.lattice_points()) == -3
     assert k >= 1 > kb.upper
     assert kb.lower <= kb.gamma <= k
 
@@ -396,3 +409,57 @@ def test_point_counts_obey_hasse_bound():
             continue
         n = Curve.elliptic(p, 0, 3).point_count()
         assert (n - (p + 1)) ** 2 <= 4 * p
+
+
+def assert_weight_records_match(dp, monkeypatch):
+    """`dp.at(u)` against each slice's own `evaluate` at every lattice weight,
+    with one evaluate per (stored slice, weight) and none on a second read."""
+    dp = DivisorialPolytope(dp.curve, dp.box, dp.slices)  # no record read yet
+    weights = dp.lattice_points()
+    want = {u: slice_values(dp, u) for u in weights}
+    evaluate, calls = ConcavePL.evaluate, Counter()
+
+    def counting(s, u):
+        calls[id(s), u] += 1
+        return evaluate(s, u)
+
+    monkeypatch.setattr(ConcavePL, "evaluate", counting)
+    records = [dp.at(u) for u in weights]
+    assert all(dp.at(u) is at for u, at in zip(weights, records))
+    assert calls == Counter({(id(s), u): 1 for s in dp.slices.values() for u in weights})
+    monkeypatch.undo()
+    for u, at in zip(weights, records):
+        values = want[u]
+        assert at.value == Divisor(values), (dp, u)
+        assert at.floor == Divisor({P: floor(v) for P, v in values.items()}), (dp, u)
+        assert at.degree == sum(values.values()), (dp, u)
+        assert at.floor_degree == floor_degree(dp, u), (dp, u)
+        assert at.effective == all(v >= 0 for v in values.values()), (dp, u)
+
+
+def test_weight_records_match_the_per_call_path(monkeypatch):
+    rng = random.Random(114)
+    pts = E7.rational_points()
+    intervals = [random_divpoly(rng, E7) for _ in range(30)]
+    for _ in range(20):
+        hi = rng.randint(1, 6)
+        ends = [((u,), Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for u in (0, hi)]
+        slices = {P: ConcavePL.from_graph_points(ends) for P in rng.sample(pts, 2)}
+        intervals.append(DivisorialPolytope(E7, LatticePolytope.interval(0, hi), slices))
+    polygons = [
+        DivisorialPolytope(E7, LatticePolytope(verts), dict(zip(rng.sample(pts, 3), folded_polygon_slices(rng, shape, 3))))
+        for shape, verts in POLYGON_BOXES.items()
+        for _ in range(4)
+    ]
+    sums = [rng.choice(family).add(rng.choice(family)) for family in (intervals, polygons) for _ in range(8)]
+    scaled = [rng.choice(intervals + polygons).scale(rng.randint(2, 3)) for _ in range(10)]
+    edge = [
+        intervals[0].scale(0),
+        point_divisor_dual(E7, pts[0]),
+        point_divisor_dual(E7, pts[0], m=2),
+        DivisorialPolytope(E7, LatticePolytope(POLYGON_BOXES["hexagon"]), {}),
+        DivisorialPolytope(E7, LatticePolytope.interval(-2, 3), {}),
+    ]
+    p1 = [random_divpoly(rng, P1_7) for _ in range(10)]
+    for dp in intervals + polygons + sums + scaled + edge + p1:
+        assert_weight_records_match(dp, monkeypatch)

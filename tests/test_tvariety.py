@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, floor, lcm
 
 import pytest
 
@@ -34,7 +34,7 @@ from tcodes import (
 )
 from tcodes import tvariety
 from tcodes.convex import make_point
-from tcodes.curve import riemann_roch_basis
+from tcodes.curve import Divisor, riemann_roch_basis
 from tcodes.tvariety import RayTerm, TWeilDivisor, VertexTerm
 from tcodes.instances import (
     HEXAGON_VERTICES,
@@ -47,11 +47,17 @@ from tcodes.instances import (
 )
 
 from test_convex import convex_hull_2d, hull_contains
+from test_properties import slice_values
 
 E7 = standard_elliptic()
 Q1, Q2 = marked_point_pair(E7)
 SURFACE = surface_example(E7)
 THREEFOLD = threefold_example()
+
+
+def floored_value(dp, u) -> Divisor:
+    """sum floor(h_P(u)) P, each slice by its own `ConcavePL.evaluate`."""
+    return Divisor({P: floor(v) for P, v in slice_values(dp, u).items()})
 
 
 def one_slice_dp(graph, curve=None, point=None) -> DivisorialPolytope:
@@ -328,6 +334,22 @@ def test_counting_invariants_surface():
     assert euler_characteristic(SURFACE) == (12, -5, 7)
 
 
+def test_cross_checks_catch_a_wrong_weight_record(monkeypatch):
+    # Both runtime cross-checks compare the per-weight records with routes
+    # that evaluate the slices themselves, so one wrong floor degree fails
+    # each: sharp's per-slice sums, and the per-weight form of chi even when
+    # sharp itself agrees with the records.
+    dp = surface_example(E7)
+    u = dp.lattice_points()[2]
+    at = dp.at(u)
+    monkeypatch.setitem(dp._at, u, at._replace(floor_degree=at.floor_degree + 1))
+    with pytest.raises(AssertionError, match="floor-degree bookkeeping mismatch"):
+        sharp(dp)
+    monkeypatch.setattr(tvariety, "sharp", lambda dp: sum(dp.at(u).floor_degree for u in dp.lattice_points()))
+    with pytest.raises(AssertionError, match="Euler characteristic forms disagree"):
+        euler_characteristic(dp)
+
+
 def test_counting_invariants_trivial():
     flat = one_slice_dp([(0, 0), (1, 0)], curve=Curve.p1(7), point=CurvePoint.affine(0, 0, 7))
     assert genus_of_section(flat) == (0, 1, 0)
@@ -412,7 +434,7 @@ def test_graded_sections_one_basis_per_divisor(name, monkeypatch):
         "threefold": threefold_example,
         "record": lambda: record_example().dp,
     }[name]()
-    divisors = {repr(dp.value_at(u).floor()) for u in dp.lattice_points()}
+    divisors = {repr(floored_value(dp, u)) for u in dp.lattice_points()}
     assert name == "surface" or len(divisors) < len(dp.lattice_points())
     calls = []
 
@@ -425,5 +447,5 @@ def test_graded_sections_one_basis_per_divisor(name, monkeypatch):
     assert len(calls) == len(divisors) == len(set(map(repr, calls)))
     assert [piece.u for piece in pieces] == dp.lattice_points()
     for piece in pieces:
-        assert piece.divisor == dp.value_at(piece.u).floor()
+        assert piece.divisor == floored_value(dp, piece.u)
         assert piece.basis == riemann_roch_basis(dp.curve, piece.divisor)
