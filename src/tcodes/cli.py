@@ -14,6 +14,7 @@ from .codes import (
     BudgetExceeded,
     EvaluationSetup,
     build_code,
+    code_dimension,
     compare_with_product,
     d_exact,
     d_lower,
@@ -61,12 +62,12 @@ def _run_validate(dp: DivisorialPolytope) -> int:
 
 def _run_info(setup: EvaluationSetup) -> int:
     dp = setup.dp
-    code = build_code(setup)
+    k = code_dimension(setup)
     kb = k_bounds(dp)
     low = d_lower(setup)
     up = d_upper(setup)
     print(f"n = {setup.n}")
-    print(f"k = {code.k}")
+    print(f"k = {k}")
     print(f"k_lower = {kb.lower}")
     print(f"k_gamma = {kb.gamma}")
     print(f"k_upper = {kb.upper}")

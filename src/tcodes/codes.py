@@ -9,10 +9,12 @@ The columns at one point form a block over the torus (F_q^*)^m, and a row of
 weight u is (twisted values at the l points) tensor the character t -> t^u.
 The twisted values come from one batched kernel (`_section_values`). A code
 keeps only those l-vectors: its rank splits by u mod q - 1 and is taken on
-them, and the full rows are built from them when first read. Code columns,
-`d_upper` witnesses at sloped points and toric generators all come from one
-character table (`_characters`); at a flat point a witness weight has a
-closed form.
+them, and the full rows are built from them when first read. When no two
+weights agree mod q - 1, k needs no code at all: each weight adds
+l(floor(D_u)) - l(floor(D_u) - E), E the sum of the points, a formula in the
+degrees (`code_dimension`). Code columns, `d_upper` witnesses at sloped
+points and toric generators all come from one character table
+(`_characters`); at a flat point a witness weight has a closed form.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .curve import (
     Divisor,
     FunctionFieldElement,
     riemann_roch_basis,
+    rr_dimension,
     twisted_evaluate,
 )
 from .tvariety import (
@@ -287,6 +290,36 @@ def build_code(setup: EvaluationSetup) -> EvaluationCode:
     values = _section_values(setup, sections, (weights @ gradients.T + offsets)[owner])
     labels = [(piece.u, j) for piece in pieces for j in range(len(piece.basis))]
     return EvaluationCode(setup, values.tolist(), labels)
+
+
+def code_dimension(setup: EvaluationSetup) -> int:
+    """k, from Riemann-Roch dimensions when no two lattice weights agree mod
+    q - 1, else `build_code(setup).k`.
+
+    The twist at each evaluation point is the coefficient of floor(D_u)
+    there, so a section of L(floor(D_u)) gives the zero l-vector exactly when
+    it vanishes at every point: the kernel is L(floor(D_u) - E), E the sum
+    of the points, of degree deg floor(D_u) - l. A weight alone in its class
+    mod q - 1 (`EvaluationCode`) then adds l(floor(D_u)) - l(floor(D_u) - E),
+    the AG-code dimension (Stichtenoth, Thm 2.2.2), and the degrees come from
+    the records `dp.at(u)`. A point off the curve raises as `twisted_evaluate`
+    does once some section is evaluated there.
+    """
+    dp, curve, l = setup.dp, setup.curve, setup.l
+    weights = dp.lattice_points()
+    if len({tuple(c % (setup.q - 1) for c in u) for u in weights}) < len(weights):
+        return build_code(setup).k
+    ats = [dp.at(u) for u in weights]
+    full = sum(rr_dimension(curve, at.floor_degree, lambda: at.floor) for at in ats)
+    # The curve check `_section_values` keeps per setup (d_upper reads it too).
+    off = [P for P, ok in zip(setup.points, setup._affine_arrays[2]) if not ok and not P.is_infinity]
+    if full and off:
+        raise ValueError(f"{off[0].render()} is not on the curve")
+    kernel = sum(
+        rr_dimension(curve, at.floor_degree - l, lambda: at.floor - Divisor(dict.fromkeys(setup.points, 1)))
+        for at in ats
+    )
+    return full - kernel
 
 
 @dataclass
@@ -597,8 +630,9 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     it acts by the g distinct multipliers h of the rows below the lead over
     the lead's (the identity alone if g * p > TABLE_CAP): the image of a is
     sum_j (h_j * digit_j(a) mod p) * p^j, from per-place tables in the
-    smallest dtype holding p^f - 1. A prefix is kept when it is the least of
-    its images and counted g / #{h : image == a} times, in exact integers.
+    smallest dtype holding p^f - 1, each gathered into one reused buffer and
+    added in place. A prefix is kept when it is the least of its images and
+    counted g / #{h : image == a} times, in exact integers.
     Only kept prefixes get targets, their negated words in int64 reduced
     mod p after each row, then cast to the table's dtype; they meet the
     table TABLE_CAP // (p^r * n) at a time in one reused bool buffer.
@@ -636,13 +670,15 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
         code = np.min_scalar_type(p**f - 1)
         tables = [(h[:, j, None] * np.arange(p) % p * p**j).astype(code) for j in range(f)] if g > 1 else []
         step = max(1, TABLE_CAP // max(g, n))
+        gathered = np.empty((g, min(step, p**f)), dtype=code)
         for start in range(0, p**f, step):
             a = np.arange(start, min(start + step, p**f), dtype=np.int64)
             images, digits = a[None], a
             if tables:
                 images = np.zeros((g, len(a)), dtype=code)
                 for table_j in tables:
-                    images += table_j[:, digits % p]
+                    # Digits are always in range; "clip" lets take write into the buffer unbuffered.
+                    images += np.take(table_j, digits % p, axis=1, out=gathered[:, : len(a)], mode="clip")
                     digits = digits // p
             own = images.min(axis=0) == a
             keep = a[own]

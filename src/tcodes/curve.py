@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .algebra import MatrixFp, Poly, check_prime_field, echelon, inv_mod
 
@@ -532,17 +532,20 @@ def riemann_roch_basis(curve: Curve, D: Divisor) -> list[FunctionFieldElement]:
     return basis
 
 
-def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
-    deg = D.degree()
+def rr_dimension(curve: Curve, degree: int, divisor: Callable[[], Divisor]) -> int:
+    """dim L(D) for an integral divisor D of the given degree: 0 below degree
+    0, else deg + 1 on the line and deg on an elliptic curve, except that at
+    degree 0 there it is 1 exactly when D is principal. Only that case needs
+    D itself, built by calling `divisor`."""
+    if degree < 0:
+        return 0
     if curve.genus == 0:
-        expected = int(deg) + 1 if deg >= 0 else 0
-    else:
-        if deg < 0:
-            expected = 0
-        elif deg == 0:
-            expected = 1 if is_principal(curve, D) else 0
-        else:
-            expected = int(deg)
+        return degree + 1
+    return degree or int(is_principal(curve, divisor()))
+
+
+def _assert_rr_dimension(curve: Curve, D: Divisor, dim: int) -> None:
+    expected = rr_dimension(curve, int(D.degree()), lambda: D)
     assert dim == expected, f"Riemann-Roch dimension {dim} != {expected} for {D!r}"
 
 

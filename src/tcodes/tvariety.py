@@ -244,7 +244,10 @@ def _ray_meets_degree(dp: DivisorialPolytope, n: tuple[int, ...]) -> bool:
     corners as of the box's vertices attain the minimum. The side
     n0 g1 - n1 g0 of a gradient g is linear, so the sum of the pieces lies
     strictly on one side when the slices' least sides sum above zero or
-    their greatest below.
+    their greatest below. Each slice is read in its stored integers
+    (`ConcavePL`): corners X over `den` and gradients G over `gden`, so a
+    corner attains the minimum when <n, X> = h0 den, and only the two sides
+    per slice become `Fraction`s.
     """
     if dp.m == 1:
         return True
@@ -252,12 +255,13 @@ def _ray_meets_degree(dp: DivisorialPolytope, n: tuple[int, ...]) -> bool:
     k = sum(n[0] * v[0] + n[1] * v[1] == h0 for v in dp.box.vertices)
     lo = hi = 0
     for s in dp.slices.values():
+        face = h0 * s._den
         sides = [
-            n[0] * g[1] - n[1] * g[0]
-            for g, _, cell in s.facets()
-            if sum(n[0] * q[0] + n[1] * q[1] == h0 for q in cell) == k
+            n[0] * G[1] - n[1] * G[0]
+            for G, _, cell in s._cells
+            if sum(n[0] * X[0] + n[1] * X[1] == face for X in cell) == k
         ]
-        lo, hi = lo + min(sides), hi + max(sides)
+        lo, hi = lo + Fraction(min(sides), s._gden), hi + Fraction(max(sides), s._gden)
     return lo <= 0 <= hi
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tcodes import ConcavePL, cli, tvariety
+from tcodes import ConcavePL, cli, codes, curve, tvariety
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +112,34 @@ def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
     assert code == EXIT_OK
     assert sorted(outside.values()) == [1] * 10
     assert total == {"at": 10, "floor_sum_over_lattice": 10, "euler_characteristic": 10, "signed_ceiling_interior_sum": 6}
+
+
+@pytest.mark.parametrize("argv", [["info", SAMPLE], ["example", "threefold", "info"]])
+def test_info_takes_k_without_building_the_code(monkeypatch, capsys, argv):
+    # No two weights share a character mod q - 1 here, so k comes from
+    # Riemann-Roch dimensions: no code, no graded basis, and Riemann-Roch
+    # bases only for d_upper's certificates.
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called by tcode info")
+
+        return call
+
+    for module in (cli, codes):
+        monkeypatch.setattr(module, "build_code", refuse("build_code"))
+    for module in (codes, tvariety):
+        monkeypatch.setattr(module, "graded_sections", refuse("graded_sections"))
+    basis, callers = curve.riemann_roch_basis, Counter()
+
+    def counting(c, D):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return basis(c, D)
+
+    for module in (curve, codes, tvariety):
+        monkeypatch.setattr(module, "riemann_roch_basis", counting)
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK and "k = " in out
+    assert set(callers) == {"d_upper"}
 
 
 def test_validate_runs_the_checks_once(monkeypatch, capsys):

@@ -24,7 +24,9 @@ from tcodes import (
     MatrixFp,
     LatticePolytope,
     SupportFunctionSlice,
+    admissible_points,
     build_code,
+    code_dimension,
     d_exact,
     d_lower,
     d_upper,
@@ -44,7 +46,8 @@ from tcodes import (
     weight_enumerator,
     weil_divisor,
 )
-from tcodes.instances import standard_elliptic, threefold_example
+from tcodes import codes
+from tcodes.instances import standard_elliptic, threefold_code_setup, threefold_example
 
 from test_convex import POLYGON_BOXES, folded_polygon_slices
 from test_curve import effective
@@ -463,3 +466,102 @@ def test_weight_records_match_the_per_call_path(monkeypatch):
     p1 = [random_divpoly(rng, P1_7) for _ in range(10)]
     for dp in intervals + polygons + sums + scaled + edge + p1:
         assert_weight_records_match(dp, monkeypatch)
+
+
+def random_interval_setup(rng, curve, width) -> EvaluationSetup:
+    """An interval polytope with fractional, affine-integral and lattice
+    slices (values up to 24, so floor degrees often pass l), evaluated at a
+    random subset of its admissible points."""
+    slices = {}
+    for P in rng.sample(curve.rational_points(), rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            ends = [((u,), Fraction(rng.randint(-6, 24), rng.randint(1, 4))) for u in (0, width)]
+        elif kind == 1:
+            b, alpha = rng.randint(-2, 8), rng.randint(-2, 2)
+            ends = [((0,), b), ((width,), b + alpha * width)]
+        else:
+            ends = [((u,), rng.randint(-2, 8)) for u in sorted({0, width, rng.randint(0, width)})]
+        slices[P] = ConcavePL.from_graph_points(ends)
+    dp = DivisorialPolytope(curve, LatticePolytope.interval(0, width), slices)
+    candidates = admissible_points(dp)
+    return EvaluationSetup.build(dp, rng.sample(candidates, rng.randint(0, len(candidates))))
+
+
+def elliptic_degree_zero_setup(rng, curve, principal: bool) -> EvaluationSetup:
+    """floor(D_0) = l * O evaluated at l affine points E, so floor(D_0) - E
+    has degree 0, and it is principal exactly when the points sum to O."""
+    affine = curve.rational_points()[:-1]
+    while True:
+        chosen = rng.sample(affine, rng.randint(1, 4))
+        total = INFINITY
+        for P in chosen:
+            total = curve.group_add(total, P)
+        if principal and not total.is_infinity and curve.group_neg(total) not in chosen:
+            chosen.append(curve.group_neg(total))
+            break
+        if not principal and not total.is_infinity:
+            break
+    l, width = len(chosen), rng.randint(1, 3)
+    top = l + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    dp = DivisorialPolytope(
+        curve, LatticePolytope.interval(0, width), {INFINITY: ConcavePL.from_graph_points([((0,), l), ((width,), top)])}
+    )
+    setup = EvaluationSetup.build(dp, chosen)
+    at = dp.at((0,))
+    assert at.floor_degree == l
+    assert is_principal(curve, at.floor - Divisor({P: 1 for P in chosen})) == principal
+    return setup
+
+
+def test_code_dimension_matches_the_built_code(monkeypatch):
+    # k from Riemann-Roch dimensions against the rank of the built code, on
+    # kernels (deg floor(D_u) >= l), elliptic degree-0 kernels, polygon
+    # boxes and the threefold, and on boxes whose weights share a character
+    # mod q - 1, where code_dimension builds the code itself.
+    rng = random.Random(115)
+    curves = [Curve.p1(5), P1_7, Curve.p1(11), Curve.elliptic(5, 0, 3), E7, standard_elliptic(13)]
+    setups = [random_interval_setup(rng, c, rng.randint(1, c.p - 2)) for c in curves for _ in range(25)]
+    for curve in (E7, standard_elliptic(13)):
+        setups += [elliptic_degree_zero_setup(rng, curve, principal) for principal in (True, False) for _ in range(10)]
+    for shape, verts in POLYGON_BOXES.items():
+        for curve in (Curve.p1(5), E7):
+            for scale in (1, 2, 3):
+                slices = dict(zip(rng.sample(curve.rational_points(), 3), folded_polygon_slices(rng, shape, 3)))
+                dp = DivisorialPolytope(curve, LatticePolytope(verts), slices).scale(scale)
+                candidates = admissible_points(dp)
+                setups.append(EvaluationSetup.build(dp, rng.sample(candidates, rng.randint(1, len(candidates)))))
+    setups += [threefold_code_setup(7), threefold_code_setup(13)]
+    setups += [random_interval_setup(rng, c, rng.randint(c.p - 1, c.p + 2)) for c in curves for _ in range(5)]
+
+    built = []
+    monkeypatch.setattr(codes, "build_code", lambda setup: built.append(setup) or build_code(setup))
+    kernels = fallbacks = 0
+    for setup in setups:
+        built.clear()
+        k = code_dimension(setup)
+        code = build_code(setup)
+        assert k == code.k, (setup.dp, setup.points)
+        weights = setup.dp.lattice_points()
+        shared = len({tuple(c % (setup.q - 1) for c in u) for u in weights}) < len(weights)
+        assert bool(built) == shared, (setup.dp, setup.points)
+        kernels += code.k < len(code.row_labels)
+        fallbacks += shared
+    assert kernels >= 150 and fallbacks >= 30, (kernels, fallbacks)
+
+
+def test_code_dimension_refuses_a_point_off_the_curve():
+    # (1,1) is not on P^1 (y = 0 there). With sections the built code raises
+    # at it, and so does code_dimension; with none, both give k = 0.
+    off = CurvePoint.affine(1, 1, 7)
+    for top, want in ((3, "(1,1) is not on the curve"), (-3, 0)):
+        slices = {INFINITY: ConcavePL.from_graph_points([((0,), top), ((2,), top)])}
+        dp = DivisorialPolytope(P1_7, LatticePolytope.interval(0, 2), slices)
+        setup = EvaluationSetup.build(dp, [CurvePoint.affine(0, 0, 7), off])
+        results = []
+        for compute in (lambda: build_code(setup).k, lambda: code_dimension(setup)):
+            try:
+                results.append(compute())
+            except ValueError as e:
+                results.append(str(e))
+        assert results == [want, want]

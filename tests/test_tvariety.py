@@ -231,6 +231,9 @@ def test_weil_divisor_matches_the_former_ray_test():
     dps = [THREEFOLD, THREEFOLD.scale(2), THREEFOLD.add(THREEFOLD), THREEFOLD.add(fiber)]
     polygons = [folded_polygon_dp(rng, shapes[i % 3]) for i in range(60)]
     dps += polygons + [rng.choice(polygons).add(rng.choice(polygons)) for _ in range(20)]
+    # Fractional values, so the slices store their corners over den > 1.
+    fractional = [folded_polygon_dp(rng, shapes[i % 3], den=rng.randint(2, 3)) for i in range(30)]
+    dps += fractional + [rng.choice(fractional).add(rng.choice(polygons)) for _ in range(10)]
     seen = set()
     for dp in dps:
         w = weil_divisor(dp)
@@ -286,14 +289,17 @@ def reference_mixed_volume(dps):
     return total / factorial(k)
 
 
-def folded_polygon_dp(rng, verts) -> DivisorialPolytope:
+def folded_polygon_dp(rng, verts, den=1) -> DivisorialPolytope:
     """A polygon box over P^1 with slices at 0, 1 and infinity, each the
-    minimum of two affine pieces sampled at the box vertices."""
+    minimum of two affine pieces sampled at the box vertices, divided by
+    den."""
     curve = Curve.p1(7)
     slices = {}
     for P in (CurvePoint.affine(0, 0, 7), CurvePoint.affine(1, 0, 7), INFINITY):
         pieces = [((rng.randint(-1, 1), rng.randint(-1, 1)), rng.randint(0, 2)) for _ in range(2)]
-        slices[P] = ConcavePL.from_graph_points([(v, min(g[0] * v[0] + g[1] * v[1] + c for g, c in pieces)) for v in verts])
+        slices[P] = ConcavePL.from_graph_points(
+            [(v, Fraction(min(g[0] * v[0] + g[1] * v[1] + c for g, c in pieces), den)) for v in verts]
+        )
     return DivisorialPolytope(curve, LatticePolytope(verts), slices)
 
 
