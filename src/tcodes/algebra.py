@@ -9,32 +9,12 @@ from __future__ import annotations
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _factorize(n) == [n]
 
 
 def is_prime_power(n: int) -> bool:
     """True when n = p^e for a prime p and e >= 1."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            return n == 1
-        f += 1 if f == 2 else 2
-    return True
+    return n >= 2 and len(_factorize(n)) == 1
 
 
 def check_prime_field(p: int) -> None:

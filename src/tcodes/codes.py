@@ -73,24 +73,29 @@ def admissible_points(dp: DivisorialPolytope) -> list[CurvePoint]:
 
 @dataclass
 class EvaluationSetup:
-    """A divisorial polytope with chosen evaluation points and their twists."""
+    """A divisorial polytope with chosen evaluation points and their twists.
+    However it is made, the points are distinct and on the curve: a point
+    off it is refused with `twisted_evaluate`'s own message."""
 
     dp: DivisorialPolytope
     points: list[CurvePoint]
     twists: list[tuple[tuple[int, ...], int]]
 
+    def __post_init__(self) -> None:
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("evaluation points must be distinct")
+        for P in self.points:
+            if not self.curve.contains(P):
+                raise ValueError(f"{P.render()} is not on the curve")
+
     @classmethod
     def build(cls, dp: DivisorialPolytope, points: list[CurvePoint] | None = None) -> "EvaluationSetup":
         """The given points, or by default every rational point whose slice
-        is affine with integer data."""
+        is affine with integer data. One twist per stored slice; an unmarked
+        point has the zero slice, whose twist is ((0,) * m, 0)."""
         candidates = dp.curve.rational_points() if points is None else points
-        if len(set(candidates)) != len(candidates):
-            raise ValueError("evaluation points must be distinct")
-        slices = [dp.slice_at(P) for P in candidates]
-        # Unmarked points share one zero slice: one twist per distinct slice.
-        distinct = {id(s): s for s in slices}
-        twist_of = {key: _affine_twist(s) for key, s in distinct.items()}
-        twists = [(P, twist_of[id(s)]) for P, s in zip(candidates, slices)]
+        twist_of = {P: _affine_twist(s) for P, s in dp.slices.items()}
+        twists = [(P, twist_of.get(P, ((0,) * dp.m, 0))) for P in candidates]
         if points is None:
             twists = [(P, tw) for P, tw in twists if tw is not None]
         for P, tw in twists:
@@ -139,12 +144,11 @@ class EvaluationSetup:
     @cached_property
     def _affine_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """x, y, and which points the int64 pass of `_section_values` reads:
-        affine points on the curve (each checked here once)."""
-        batched = [not P.is_infinity and self.curve.contains(P) for P in self.points]
+        the affine ones (it never reads the coordinates of infinity)."""
         return (
-            np.array([P.x if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
-            np.array([P.y if ok else 0 for P, ok in zip(self.points, batched)], dtype=np.int64),
-            np.array(batched, dtype=bool),
+            np.array([P.x for P in self.points], dtype=np.int64),
+            np.array([P.y for P in self.points], dtype=np.int64),
+            np.array([not P.is_infinity for P in self.points], dtype=bool),
         )
 
 
@@ -178,16 +182,18 @@ def _section_values(
 ) -> np.ndarray:
     """f * t^k at evaluation points, as an int64 array with one row per
     section f and one column per point of `at` (default: every point). `ks`
-    holds the twists, one row per section or one row for all.
+    holds the twists, one row per section or one row for all. Every section
+    value in this module (code rows, flat and sloped witness points) comes
+    from here.
 
     At an affine point where c(P) != 0, f = (a + b y) / c is regular, so
     f * t^k is f(P) for k = 0 and 0 for k > 0 (also when f(P) = 0). a, b and
     c are evaluated at all such points by one int64 Horner pass each, mod p.
     That relies on `check_prime_field`, which refuses p >= 2^31 before any
     curve exists, so no product of two residues leaves int64 (see `_horner`).
-    Where c(P) = 0, at infinity, at a point off the curve and for k < 0,
-    `twisted_evaluate` gives the value or raises its own error, in row then
-    point order as a per-point loop would.
+    Where c(P) = 0, at infinity and for k < 0, `twisted_evaluate` gives the
+    value or raises its own error, in row then point order as a per-point
+    loop would. Every point is on the curve (`EvaluationSetup`).
     """
     p = setup.q
     at = np.arange(setup.l) if at is None else at
@@ -302,8 +308,7 @@ def code_dimension(setup: EvaluationSetup) -> int:
     of the points, of degree deg floor(D_u) - l. A weight alone in its class
     mod q - 1 (`EvaluationCode`) then adds l(floor(D_u)) - l(floor(D_u) - E),
     the AG-code dimension (Stichtenoth, Thm 2.2.2), and the degrees come from
-    the records `dp.at(u)`. A point off the curve raises as `twisted_evaluate`
-    does once some section is evaluated there.
+    the records `dp.at(u)`.
     """
     dp, curve, l = setup.dp, setup.curve, setup.l
     weights = dp.lattice_points()
@@ -311,10 +316,6 @@ def code_dimension(setup: EvaluationSetup) -> int:
         return build_code(setup).k
     ats = [dp.at(u) for u in weights]
     full = sum(rr_dimension(curve, at.floor_degree, lambda: at.floor) for at in ats)
-    # The curve check `_section_values` keeps per setup (d_upper reads it too).
-    off = [P for P, ok in zip(setup.points, setup._affine_arrays[2]) if not ok and not P.is_infinity]
-    if full and off:
-        raise ValueError(f"{off[0].render()} is not on the curve")
     kernel = sum(
         rr_dimension(curve, at.floor_degree - l, lambda: at.floor - Divisor(dict.fromkeys(setup.points, 1)))
         for at in ats
@@ -494,12 +495,14 @@ def _witness_weight(
     twist c, so the word there is (f t^c)(P) t^base prod(t_a - eta_j), whose
     weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a); `flat_nonzero` counts
     the flat points where (f t^c)(P) != 0 (`_flat_nonzero`). Only sloped
-    points are weighed column by column against the character table.
+    points are weighed column by column against the character table, their
+    values from one `_section_values` pass with one row per term.
     """
-    curve, p = setup.curve, setup.q
+    p = setup.q
     sides = [t - s for s, t in B]
     weight = flat_nonzero * prod(max(0, p - 1 - r) for r in sides)
-    sloped = np.flatnonzero(setup._twist_arrays[0].any(axis=1))
+    gradients, offsets = setup._twist_arrays
+    sloped = np.flatnonzero(gradients.any(axis=1))
     if not sloped.size:
         return weight or None
     g = primitive_root(p)
@@ -512,16 +515,13 @@ def _witness_weight(
             poly = poly * Poly([-pow(g, j, p), 1], p)
         shifts = [(e + (d,), c * a % p) for e, c in shifts for d, a in enumerate(poly.coeffs)]
     terms = [(tuple(b + d for b, d in zip(base, e)), c) for e, c in shifts if c]
-    V = np.zeros((len(sloped), len(terms)), dtype=np.int64)
-    for row, i in enumerate(sloped):
-        # One f * t^k at P per distinct twist k.
-        ks = [setup.twist_exponent(i, u) for u, _ in terms]
-        values = {k: twisted_evaluate(curve, f, setup.points[i], k) for k in dict.fromkeys(ks)}
-        V[row] = [c * values[k] % p for (_, c), k in zip(terms, ks)]
-    table = _characters(p, setup.m, [u for u, _ in terms])
+    U = np.array([u for u, _ in terms], dtype=np.int64).reshape(-1, setup.m)
+    values = _section_values(setup, [f] * len(terms), (U @ gradients.T + offsets)[:, sloped], sloped)
+    V = values * np.array([c for _, c in terms], dtype=np.int64)[:, None] % p
+    table = _characters(p, setup.m, U)
     cols = np.zeros((len(sloped), table.shape[1]), dtype=np.int64)
     for j in range(len(terms)):
-        cols = (cols + V[:, j, None] * table[j]) % p
+        cols = (cols + V[j, :, None] * table[j]) % p
     return weight + int(np.count_nonzero(cols)) or None
 
 
@@ -630,9 +630,8 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     it acts by the g distinct multipliers h of the rows below the lead over
     the lead's (the identity alone if g * p > TABLE_CAP): the image of a is
     sum_j (h_j * digit_j(a) mod p) * p^j, from per-place tables in the
-    smallest dtype holding p^f - 1, each gathered into one reused buffer and
-    added in place. A prefix is kept when it is the least of its images and
-    counted g / #{h : image == a} times, in exact integers.
+    smallest dtype holding p^f - 1. A prefix is kept when it is the least of
+    its images and counted g / #{h : image == a} times, in exact integers.
     Only kept prefixes get targets, their negated words in int64 reduced
     mod p after each row, then cast to the table's dtype; they meet the
     table TABLE_CAP // (p^r * n) at a time in one reused bool buffer.
@@ -670,15 +669,13 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
         code = np.min_scalar_type(p**f - 1)
         tables = [(h[:, j, None] * np.arange(p) % p * p**j).astype(code) for j in range(f)] if g > 1 else []
         step = max(1, TABLE_CAP // max(g, n))
-        gathered = np.empty((g, min(step, p**f)), dtype=code)
         for start in range(0, p**f, step):
             a = np.arange(start, min(start + step, p**f), dtype=np.int64)
             images, digits = a[None], a
             if tables:
                 images = np.zeros((g, len(a)), dtype=code)
                 for table_j in tables:
-                    # Digits are always in range; "clip" lets take write into the buffer unbuffered.
-                    images += np.take(table_j, digits % p, axis=1, out=gathered[:, : len(a)], mode="clip")
+                    images += table_j[:, digits % p]
                     digits = digits // p
             own = images.min(axis=0) == a
             keep = a[own]

@@ -468,17 +468,12 @@ def evaluate(curve: Curve, f: FunctionFieldElement, P: CurvePoint) -> int:
 def twisted_evaluate(curve: Curve, f: FunctionFieldElement, P: CurvePoint, k: int) -> int:
     """Value of f * t^k at P, where t is the fixed uniformizer at P.
 
-    Returns 0 when ord_P(f) > -k and raises when the pole is too deep.
+    Returns 0 when ord_P(f) > -k and raises when the pole is too deep. One
+    path at every point: the orders, then the leading coefficient when
+    ord_P(f) = -k. `codes._section_values` batches the regular affine entries.
     """
     if f.is_zero():
         return 0
-    if not P.is_infinity and curve.contains(P):
-        # Neither numerator nor denominator vanishes: ord_P f = 0 and f(P) is the value.
-        num, den = (f.a.evaluate(P.x) + f.b.evaluate(P.x) * P.y) % curve.p, f.c.evaluate(P.x)
-        if num and den:
-            if k < 0:
-                raise ValueError(f"pole of order 0 exceeds twist {k} at {P.render()}")
-            return num * inv_mod(den, curve.p) % curve.p if k == 0 else 0
     num_ord, den_ord = _orders(curve, f, P)
     v = num_ord - den_ord
     if v + k < 0:

@@ -66,8 +66,8 @@ def test_validate_failure_exit_code(tmp_path, capsys):
 
 def test_info_builds_each_slice_once(monkeypatch, capsys):
     # Each declared slice is enveloped once, by the parse check, and the
-    # build reuses it; the shared zero slice of the unmarked points adds one
-    # more call.
+    # build reuses it. The unmarked points take the zero twist directly, so
+    # no zero slice is built.
     envelope_1d = ConcavePL._envelope_1d.__func__
     calls = Counter()
 
@@ -84,7 +84,6 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
     assert calls == {
         graph((0, 0), (4, 2)): 1,
         graph((0, 0), (2, 2), (3, 1), (4, -1)): 1,
-        graph((0, 0), (4, 0)): 1,
     }
 
 

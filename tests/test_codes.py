@@ -1,5 +1,6 @@
 """Tests for evaluation codes: construction, parameters, and bounds."""
 
+import ast
 import itertools
 import math
 import random
@@ -106,8 +107,9 @@ def test_twist_exponents():
 
 
 def test_setup_takes_one_twist_per_distinct_slice(monkeypatch):
-    # The surface example marks two of E7's 13 rational points; the other 11
-    # read one shared zero slice, so three twists serve all 13 points.
+    # The surface example marks two of E7's 13 rational points. Each stored
+    # slice gives one twist; the other 11 points take the zero slice's twist
+    # ((0,), 0) without any slice being looked up or built.
     twist = codes._affine_twist
     seen = []
 
@@ -115,9 +117,14 @@ def test_setup_takes_one_twist_per_distinct_slice(monkeypatch):
         seen.append(slice_)
         return twist(slice_)
 
-    monkeypatch.setattr(codes, "_affine_twist", counting)
-    setup = EvaluationSetup.build(SURFACE)
-    assert len(seen) == len({id(s) for s in seen}) == 3
+    def looked_up(dp, P):
+        raise AssertionError(f"slice_at({P.render()}) called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(codes, "_affine_twist", counting)
+        mp.setattr(DivisorialPolytope, "slice_at", looked_up)
+        setup = EvaluationSetup.build(SURFACE)
+    assert len(seen) == len({id(s) for s in seen}) == 2
     assert (len(E7.rational_points()), setup.l) == (13, 11)
     assert setup.twists == [twist(SURFACE.slice_at(P)) for P in setup.points]
     assert setup.points == [P for P in E7.rational_points() if twist(SURFACE.slice_at(P)) is not None]
@@ -619,19 +626,27 @@ def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
     # Every witness weight matches the full-table reference, and one
     # `_section_values` pass gives the flat points' values of each distinct
     # section once, though a section certifies every box with its (c, r0).
+    # Every other pass is a witness's own: one per `_witness_weight` call
+    # when the setup has a sloped point, holding only that witness's section.
     setups = [kernel_setup(*args) for args in KERNEL_SETUPS] + list(builtin_setups().values())
     kernel, values = codes._witness_weight, codes._section_values
-    shared = 0
+    shared = sloped_setups = 0
     for setup in setups:
-        passes, witnessed = [], []
+        flat_passes, witness_passes, witnessed = [], [], []
+        inside = []
 
         def counted(setup_, sections, ks, at=None):
-            passes.append([id(f) for f in sections])
+            (witness_passes if inside else flat_passes).append([id(f) for f in sections])
             return values(setup_, sections, ks, at)
 
         def checked(setup_, B, f, flat_nonzero):
+            before = len(witness_passes)
+            inside.append(B)
             got = kernel(setup_, B, f, flat_nonzero)
+            inside.pop()
             assert got == reference_witness_weight(setup_, B, f), B
+            sloped = bool(setup_._twist_arrays[0].any())
+            assert [set(ids) for ids in witness_passes[before:]] == ([{id(f)}] if sloped else [])
             witnessed.append(id(f))
             return got
 
@@ -640,20 +655,22 @@ def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
             mp.setattr(codes, "_witness_weight", checked)
             if _outcome(d_upper, setup) is ValueError:
                 continue
-        assert len(passes) == 1 and sorted(passes[0]) == sorted(set(witnessed))
+        assert len(flat_passes) == 1 and sorted(flat_passes[0]) == sorted(set(witnessed))
         shared += len(witnessed) > len(set(witnessed))
-    assert shared >= 3
+        sloped_setups += len(witness_passes) == len(witnessed) > 0
+    assert shared >= 3 and sloped_setups >= 6
 
 
 def test_kernel_keeps_the_point_loop_refusals():
-    # The per-point loop refused these with exactly these messages.
+    # The per-point loop refused these with exactly these messages. A point
+    # off the curve is refused when the setup is made, however it is made.
     p1 = Curve.p1(7)
     dp = ruled_divpoly(p1, 1, 1, 2)
-    off = EvaluationSetup.build(dp, [CurvePoint.affine(1, 0, 7), CurvePoint.affine(2, 3, 7), INFINITY])
+    points = [CurvePoint.affine(1, 0, 7), CurvePoint.affine(2, 3, 7), INFINITY]
     with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
-        build_code(off)
+        EvaluationSetup.build(dp, points)
     with pytest.raises(ValueError, match=r"^\(2,3\) is not on the curve$"):
-        witness_weight(off, ((0, 1),), FunctionFieldElement.one(p1))
+        EvaluationSetup(dp, points, [((0,), 0), ((0,), 0), ((1,), 2)])
     setup = EvaluationSetup.build(dp, [CurvePoint.affine(1, 0, 7), CurvePoint.affine(3, 0, 7)])
     one = FunctionFieldElement.one(p1)
     with pytest.raises(ValueError, match=r"^pole of order 0 exceeds twist -1 at \(3,0\)$"):
@@ -661,6 +678,20 @@ def test_kernel_keeps_the_point_loop_refusals():
     pole = FunctionFieldElement(p1, Poly([1], 7), Poly([], 7), Poly([-3, 1], 7))
     with pytest.raises(ValueError, match=r"^pole of order 1 exceeds twist 0 at \(3,0\)$"):
         codes._section_values(setup, [one, pole], np.array([0, 0]))
+
+
+def test_codes_evaluates_sections_in_one_place():
+    # Every section value in `codes` comes from `_section_values`; the
+    # one-point AG generator, which has no setup, is the only other caller.
+    tree = ast.parse(open(codes.__file__).read())
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    if getattr(node.func, "id", getattr(node.func, "attr", None)) == "twisted_evaluate":
+                        callers.add(fn.name)
+    assert callers == {"_section_values", "one_point_ag_generator"}
 
 
 @pytest.mark.parametrize("name", sorted(builtin_setups()))

@@ -572,8 +572,9 @@ def test_orders_and_leading_coefficients_match_reference(curve):
 
 @pytest.mark.parametrize("curve", [L7, E7, Curve.elliptic(13, 1, 0)], ids=lambda C: f"{C.kind}-{C.p}")
 def test_twisted_evaluate_errors_match_reference(curve):
-    # Points where neither a + b y nor c vanishes take the order-0 shortcut;
-    # its refusals must read exactly as the series path's do.
+    # At points where neither a + b y nor c vanishes, `codes._section_values`
+    # hands k < 0 to this one order path; its refusals must read exactly as
+    # the reference's do.
     rng = random.Random(3000 + curve.p)
     for f in random_functions(rng, curve, 20)[1:]:
         for P in oracle_points(rng, curve):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import floor
 
 import numpy as np
+import pytest
 
 from tcodes import (
     ConcavePL,
@@ -551,17 +552,13 @@ def test_code_dimension_matches_the_built_code(monkeypatch):
 
 
 def test_code_dimension_refuses_a_point_off_the_curve():
-    # (1,1) is not on P^1 (y = 0 there). With sections the built code raises
-    # at it, and so does code_dimension; with none, both give k = 0.
+    # (1,1) is not on P^1 (y = 0 there). The setup refuses it when it is
+    # made, with sections (top 3) and without (top -3), so neither the built
+    # code nor code_dimension ever sees it.
     off = CurvePoint.affine(1, 1, 7)
-    for top, want in ((3, "(1,1) is not on the curve"), (-3, 0)):
+    for top in (3, -3):
         slices = {INFINITY: ConcavePL.from_graph_points([((0,), top), ((2,), top)])}
         dp = DivisorialPolytope(P1_7, LatticePolytope.interval(0, 2), slices)
-        setup = EvaluationSetup.build(dp, [CurvePoint.affine(0, 0, 7), off])
-        results = []
-        for compute in (lambda: build_code(setup).k, lambda: code_dimension(setup)):
-            try:
-                results.append(compute())
-            except ValueError as e:
-                results.append(str(e))
-        assert results == [want, want]
+        assert graded_sections(dp).total_dim == (3 * 4 if top > 0 else 0)
+        with pytest.raises(ValueError, match=r"^\(1,1\) is not on the curve$"):
+            EvaluationSetup.build(dp, [CurvePoint.affine(0, 0, 7), off])
