@@ -7,6 +7,8 @@ the valuation echelon of Riemann-Roch bases all read it.
 
 from __future__ import annotations
 
+from functools import cache
+
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _factorize(n) == [n]
@@ -57,8 +59,10 @@ def element_order(a: int, p: int) -> int:
     return order
 
 
+@cache
 def primitive_root(p: int) -> int:
-    """Smallest positive primitive root mod p (returns 1 for p = 2)."""
+    """Smallest positive primitive root mod p (returns 1 for p = 2), found
+    once per p; a p that is not a field characteristic is refused each time."""
     check_prime_field(p)
     if p == 2:
         return 1

@@ -14,7 +14,9 @@ weights agree mod q - 1, k needs no code at all: each weight adds
 l(floor(D_u)) - l(floor(D_u) - E), E the sum of the points, a formula in the
 degrees (`code_dimension`). Code columns, `d_upper` witnesses at sloped
 points and toric generators all come from one character table
-(`_characters`); at a flat point a witness weight has a closed form.
+(`_characters`). At a flat point a witness weight is a count read from the
+certificate's divisor, so `d_upper` builds no section on a setup whose
+slices are all flat at its points.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def _section_values(
     """f * t^k at evaluation points, as an int64 array with one row per
     section f and one column per point of `at` (default: every point). `ks`
     holds the twists, one row per section or one row for all. Every section
-    value in this module (code rows, flat and sloped witness points) comes
+    value in this module (code rows and witnesses at sloped points) comes
     from here.
 
     At an affine point where c(P) != 0, f = (a + b y) / c is regular, so
@@ -405,10 +407,19 @@ def _sub_boxes(dp: DivisorialPolytope, q: int) -> list[tuple[tuple[int, int], ..
 
 @dataclass
 class UpperWitness:
+    """A `d_upper` certificate: sub-box, r0 forced zeros, codeword weight
+    (None for the zero word), and the divisor D whose one-dimensional L(D)
+    holds the section, which is built when first read."""
+
     sub_box: tuple[tuple[int, int], ...]
     r0: int
-    section: FunctionFieldElement
     weight: int | None
+    curve: Curve
+    divisor: Divisor
+
+    @cached_property
+    def section(self) -> FunctionFieldElement:
+        return riemann_roch_basis(self.curve, self.divisor)[0]
 
 
 @dataclass
@@ -422,10 +433,11 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     """Upper distance bound certified by an explicit low-weight codeword.
 
     For a sub-box B with sides r_i, let c_j be the floored minimum of slice j
-    over B; a nonzero section of sum(c_j Q_j) - (first r0 points), with
+    over B; a nonzero section of D = sum(c_j Q_j) - (first r0 points), with
     r0 = clamp(sum c_j - g, 0, l), multiplied by r_i distinct unit-root
     factors per axis, yields a codeword whose exact weight certifies the
-    bound. The value is the lightest certificate over all viable sub-boxes;
+    bound. The value is the lightest certificate over all viable sub-boxes
+    (ties to the first in order of formula bound, then sub-box);
     formula_min records min (l - r0) prod(q - 1 - r_i), which the value can
     exceed when an evaluation point has a sloped slice (the unit-root factors
     collapse on such a column block) and which is not trustworthy on its own
@@ -433,78 +445,97 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     (only possible when the code's section map has a kernel), the value falls
     back to the code length.
 
-    Each box, built directly, reads its c_j from the floored slice divisors
-    at its corners (`DivisorialPolytope.at`); one Riemann-Roch basis, and
-    one count of the flat points where its first element is nonzero, serves
-    every box with the same (c, r0). With no stored slice every c is empty
+    On a viable box r0 < l, so deg D = min(sum c_j, g) and L(D) has
+    dimension at most 1 (g <= 1): whether it is empty is a Riemann-Roch
+    dimension, and its section's flat-point weight is a count
+    (`_flat_count`), so no section is built for that. Only when a point has a
+    sloped slice are sections built, one per (c, r0), and weighed there
+    (`_witness_weight`), in order of their flat weight, a lower bound, until
+    that bound cannot beat the best weight found. Each box reads its c_j from
+    the integer floors at its corners; with no stored slice every c is empty
     and the certificate is a constant.
     """
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
-    bases: dict[tuple[tuple[int, ...], int], list[FunctionFieldElement]] = {}
-    candidates: list[tuple[int, tuple, int, FunctionFieldElement]] = []
+    floors = {u: [int(dp.at(u).floor[Q]) for Q in stored] for u in dp.lattice_points()}
+    certificates: dict[tuple[tuple[int, ...], int], tuple[Divisor, int] | None] = {}
+    candidates: list[tuple[int, tuple, int, Divisor, int]] = []
     for B in _sub_boxes(dp, q):
         # Every slice is concave, so its minimum over B is at a corner.
-        corners = [dp.at(u).floor for u in product(*B)]
-        c = tuple(int(min(D[Q] for D in corners)) for Q in stored)
+        c = tuple(min(column) for column in zip(*(floors[u] for u in product(*B))))
         r0 = max(0, min(sum(c) - g, l))
-        bound = (l - r0) * prod(q - 1 - (t - s) for s, t in B)
-        if bound <= 0:
+        cells = prod(q - 1 - (t - s) for s, t in B)
+        if (l - r0) * cells <= 0:
             continue
-        if (c, r0) not in bases:
-            D = Divisor(dict(zip(stored, c))) - Divisor({P: 1 for P in setup.points[:r0]})
-            bases[c, r0] = riemann_roch_basis(curve, D)
-        basis = bases[c, r0]
-        if basis:
-            candidates.append((bound, B, r0, basis[0]))
+        if (c, r0) not in certificates:
+            D = Divisor(dict(zip(stored, c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
+            dim = rr_dimension(curve, sum(c) - r0, lambda: D)
+            assert dim <= 1, f"L({D!r}) has dimension {dim} on a viable sub-box"
+            certificates[c, r0] = (D, _flat_count(setup, D, r0)) if dim else None
+        if certificates[c, r0]:
+            D, count = certificates[c, r0]
+            candidates.append(((l - r0) * cells, B, r0, D, count * cells))
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
-    formula_min = min(bound for bound, _, _, _ in candidates)
     candidates.sort(key=lambda c: c[0])
-    # Boxes with one (c, r0) share one section object, and so its flat-point count.
-    sections = list({id(f): f for _, _, _, f in candidates}.values())
-    flat = dict(zip(map(id, sections), _flat_nonzero(setup, sections)))
-    best: tuple[int, tuple, int, FunctionFieldElement] | None = None
-    for bound, B, r0, f in candidates:
-        weight = _witness_weight(setup, B, f, flat[id(f)])
-        if weight is not None and (best is None or weight < best[0]):
-            best = (weight, B, r0, f)
-    if best is not None:
-        weight, B, r0, f = best
-        return UpperBound(weight, formula_min, UpperWitness(B, r0, f, weight))
-    _, B, r0, f = min(candidates, key=lambda c: c[0])
-    return UpperBound(setup.n, formula_min, UpperWitness(B, r0, f, None))
+    sloped = setup._twist_arrays[0].any()
+    sections: dict[int, FunctionFieldElement] = {}
+    best: tuple[int, int] | None = None
+    # A box weighs at least its flat weight, so none after the first whose
+    # (flat weight, position) exceeds the best (weight, position) can win.
+    for i in sorted(range(len(candidates)), key=lambda i: (candidates[i][4], i)):
+        _, B, _, D, flat = candidates[i]
+        if best is not None and (flat, i) > best:
+            break
+        if sloped:
+            if id(D) not in sections:
+                sections[id(D)] = riemann_roch_basis(curve, D)[0]
+            weight = _witness_weight(setup, B, sections[id(D)], flat)
+        else:
+            weight = flat or None
+        if weight is not None and (best is None or (weight, i) < best):
+            best = (weight, i)
+    # With no nonzero certificate: the first box in bound order, and length n.
+    weight, i = best or (None, 0)
+    _, B, r0, D, _ = candidates[i]
+    return UpperBound(weight or setup.n, candidates[0][0], UpperWitness(B, r0, weight, curve, D))
 
 
-def _flat_nonzero(setup: EvaluationSetup, sections: list[FunctionFieldElement]) -> list[int]:
-    """For each section f, the number of flat points (twist gradient 0, twist
-    c) where (f t^c)(P) != 0, from one `_section_values` pass."""
-    gradients, offsets = setup._twist_arrays
-    at = np.flatnonzero(~gradients.any(axis=1))
-    return np.count_nonzero(_section_values(setup, sections, offsets[at], at), axis=1).tolist()
+def _flat_count(setup: EvaluationSetup, D: Divisor, r0: int) -> int:
+    """Flat points (twist gradient 0) where f t^c is nonzero, f spanning the
+    one-dimensional L(D) of a `d_upper` certificate. div f + D is 0 or, when
+    deg D = 1 on an elliptic curve, the point R = group sum of D. The twist c
+    at a flat point P is the coefficient of sum(c_j Q_j) there, so
+    (f t^c)(P) != 0 exactly when P is neither R nor one of the first r0."""
+    curve = setup.curve
+    zeros = set(setup.points[:r0])
+    if D.degree() == 1:
+        R = INFINITY
+        for P, a in D.items():
+            R = curve.group_add(R, curve.group_multiple(int(a), P))
+        zeros.add(R)
+    sloped = setup._twist_arrays[0].any(axis=1).tolist()
+    return sum(not s and P not in zeros for P, s in zip(setup.points, sloped))
 
 
 def _witness_weight(
-    setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement, flat_nonzero: int
+    setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement, flat_weight: int
 ) -> int | None:
     """Exact weight of the certificate codeword, None if it evaluates to zero.
 
     The word is f t^base prod_a prod_j (t_a - eta_j), eta_j the first r_a
     powers of g. At a flat point (twist gradient 0) every term shares the
     twist c, so the word there is (f t^c)(P) t^base prod(t_a - eta_j), whose
-    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a); `flat_nonzero` counts
-    the flat points where (f t^c)(P) != 0 (`_flat_nonzero`). Only sloped
+    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a); `flat_weight` is their
+    sum over the flat points (`_flat_count` times the product). Only sloped
     points are weighed column by column against the character table, their
     values from one `_section_values` pass with one row per term.
     """
     p = setup.q
     sides = [t - s for s, t in B]
-    weight = flat_nonzero * prod(max(0, p - 1 - r) for r in sides)
     gradients, offsets = setup._twist_arrays
     sloped = np.flatnonzero(gradients.any(axis=1))
-    if not sloped.size:
-        return weight or None
     g = primitive_root(p)
     base = tuple(s for s, _ in B)
     shifts: list[tuple[tuple[int, ...], int]] = [((), 1)]
@@ -522,7 +553,7 @@ def _witness_weight(
     cols = np.zeros((len(sloped), table.shape[1]), dtype=np.int64)
     for j in range(len(terms)):
         cols = (cols + V[j, :, None] * table[j]) % p
-    return weight + int(np.count_nonzero(cols)) or None
+    return flat_weight + int(np.count_nonzero(cols)) or None
 
 
 def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:

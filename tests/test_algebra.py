@@ -55,6 +55,14 @@ def test_primitive_root_is_smallest():
         assert all(element_order(h, p) < p - 1 for h in range(2, g))
 
 
+def test_primitive_root_refuses_a_non_prime_every_time():
+    # primitive_root keeps its answer per p; a refusal is not kept.
+    for p in (1, 8, 91, 2**31):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                primitive_root(p)
+
+
 def test_poly_evaluate_and_arith():
     p = 7
     f = Poly([1, 0, 3], p)  # 3x^2 + 1

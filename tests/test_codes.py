@@ -37,6 +37,7 @@ from tcodes import (
     toric_generator,
     weight_enumerator,
 )
+from tcodes import algebra
 from tcodes.algebra import primitive_root
 from tcodes.cli import EXIT_OK, main
 from tcodes.curve import Divisor, FunctionFieldElement, riemann_roch_basis, twisted_evaluate, valuation
@@ -434,10 +435,17 @@ def reference_witness_weight(setup, B, f):
     return weight if any_nonzero else None
 
 
+def flat_nonzero(setup, f):
+    """The flat points where f times its twist is nonzero, evaluated."""
+    gradients, offsets = setup._twist_arrays
+    at = np.flatnonzero(~gradients.any(axis=1))
+    return int(np.count_nonzero(codes._section_values(setup, [f], offsets[at], at)))
+
+
 def witness_weight(setup, B, f):
-    """`codes._witness_weight` with f's flat-point count computed for f alone."""
-    (flat,) = codes._flat_nonzero(setup, [f])
-    return codes._witness_weight(setup, B, f, flat)
+    """`codes._witness_weight` with f's flat weight from evaluated values."""
+    cells = math.prod(setup.q - 1 - (t - s) for s, t in B)
+    return codes._witness_weight(setup, B, f, flat_nonzero(setup, f) * cells)
 
 
 def reference_toric_generator(p, lattice_points):
@@ -466,8 +474,8 @@ def assert_code_matches_reference(setup, monkeypatch):
     checked = []
     kernel = codes._witness_weight
 
-    def both(setup_, B, f, flat_nonzero):
-        got = kernel(setup_, B, f, flat_nonzero)
+    def both(setup_, B, f, flat_weight):
+        got = kernel(setup_, B, f, flat_weight)
         assert got == reference_witness_weight(setup_, B, f), B
         checked.append(B)
         return got
@@ -517,8 +525,13 @@ def builtin_setups():
 
 @pytest.mark.parametrize("name", sorted(builtin_setups()))
 def test_builtin_codes_match_reference(name, monkeypatch):
-    _, upper, checked = assert_code_matches_reference(builtin_setups()[name], monkeypatch)
-    assert upper is ValueError or checked
+    # Flat-only setups weigh their witness without `_witness_weight`, so the
+    # winning witness is weighed against the full table here.
+    setup = builtin_setups()[name]
+    _, upper, _ = assert_code_matches_reference(setup, monkeypatch)
+    if upper is not ValueError:
+        w = upper.witness
+        assert reference_witness_weight(setup, w.sub_box, w.section) == w.weight
 
 
 def test_small_codes_match_reference(monkeypatch):
@@ -622,43 +635,69 @@ def test_witness_weight_matches_reference_on_flat_and_sloped_points():
         assert reference_witness_weight(setup, B, f) is None
 
 
+def test_witness_weights_at_one_field_find_its_primitive_root_once(monkeypatch):
+    # Two witnesses at one p make one element_order sweep between them: the
+    # primitive root is kept per p.
+    setup = kernel_setup(*KERNEL_SETUPS[0])
+    sweep = []
+    order = algebra.element_order
+
+    def counting(a, p):
+        sweep.append((a, p))
+        return order(a, p)
+
+    monkeypatch.setattr(algebra, "element_order", counting)
+    primitive_root.cache_clear()
+    f = FunctionFieldElement.one(setup.curve)
+    for B in (((0, 1),), ((1, 2),)):
+        assert witness_weight(setup, B, f) == reference_witness_weight(setup, B, f)
+    g = primitive_root(setup.q)
+    assert sweep == [(a, setup.q) for a in range(2, g + 1)]
+
+
 def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
-    # Every witness weight matches the full-table reference, and one
-    # `_section_values` pass gives the flat points' values of each distinct
-    # section once, though a section certifies every box with its (c, r0).
-    # Every other pass is a witness's own: one per `_witness_weight` call
-    # when the setup has a sloped point, holding only that witness's section.
+    # Flat points are weighed by a count, with no `_section_values` pass at
+    # all, and a setup with no sloped point calls no `_witness_weight`. Every
+    # pass is a witness's own: one per `_witness_weight` call, holding only
+    # that witness's section, and each witness weight matches the full-table
+    # reference. One basis is built per (c, r0) whose witness is weighed.
     setups = [kernel_setup(*args) for args in KERNEL_SETUPS] + list(builtin_setups().values())
-    kernel, values = codes._witness_weight, codes._section_values
-    shared = sloped_setups = 0
+    kernel, values, basis = codes._witness_weight, codes._section_values, codes.riemann_roch_basis
+    sloped_setups = flat_setups = 0
     for setup in setups:
-        flat_passes, witness_passes, witnessed = [], [], []
+        outside, witness_passes, witnessed, built = [], [], [], []
         inside = []
 
+        def building(curve, D):
+            built.append(D)
+            return basis(curve, D)
+
         def counted(setup_, sections, ks, at=None):
-            (witness_passes if inside else flat_passes).append([id(f) for f in sections])
+            (witness_passes if inside else outside).append([id(f) for f in sections])
             return values(setup_, sections, ks, at)
 
-        def checked(setup_, B, f, flat_nonzero):
+        def checked(setup_, B, f, flat_weight):
             before = len(witness_passes)
             inside.append(B)
-            got = kernel(setup_, B, f, flat_nonzero)
+            got = kernel(setup_, B, f, flat_weight)
             inside.pop()
             assert got == reference_witness_weight(setup_, B, f), B
-            sloped = bool(setup_._twist_arrays[0].any())
-            assert [set(ids) for ids in witness_passes[before:]] == ([{id(f)}] if sloped else [])
+            assert [set(ids) for ids in witness_passes[before:]] == [{id(f)}]
             witnessed.append(id(f))
             return got
 
         with monkeypatch.context() as mp:
             mp.setattr(codes, "_section_values", counted)
             mp.setattr(codes, "_witness_weight", checked)
+            mp.setattr(codes, "riemann_roch_basis", building)
             if _outcome(d_upper, setup) is ValueError:
                 continue
-        assert len(flat_passes) == 1 and sorted(flat_passes[0]) == sorted(set(witnessed))
-        shared += len(witnessed) > len(set(witnessed))
-        sloped_setups += len(witness_passes) == len(witnessed) > 0
-    assert shared >= 3 and sloped_setups >= 6
+        sloped = bool(setup._twist_arrays[0].any())
+        assert outside == [] and bool(witnessed) == sloped
+        assert len(built) == len(set(witnessed))
+        sloped_setups += sloped
+        flat_setups += not sloped
+    assert sloped_setups >= 6 and flat_setups >= 4
 
 
 def test_kernel_keeps_the_point_loop_refusals():
@@ -884,20 +923,22 @@ def reference_d_upper(setup):
         basis = riemann_roch_basis(curve, D)
         if not basis:
             continue
-        candidates.append((bound, B, r0, basis[0]))
+        candidates.append((bound, B, r0, D, basis[0]))
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
-    formula_min = min(bound for bound, _, _, _ in candidates)
+    formula_min = min(c[0] for c in candidates)
     best = None
-    for bound, B, r0, f in sorted(candidates, key=lambda c: c[0]):
+    for bound, B, r0, D, f in sorted(candidates, key=lambda c: c[0]):
         weight = witness_weight(setup, B, f)
         if weight is not None and (best is None or weight < best[0]):
-            best = (weight, B, r0, f)
+            best = (weight, B, r0, D, f)
     if best is not None:
-        weight, B, r0, f = best
-        return codes.UpperBound(weight, formula_min, codes.UpperWitness(B, r0, f, weight))
-    _, B, r0, f = min(candidates, key=lambda c: c[0])
-    return codes.UpperBound(setup.n, formula_min, codes.UpperWitness(B, r0, f, None))
+        weight, B, r0, D, f = best
+    else:
+        weight, (_, B, r0, D, f) = None, min(candidates, key=lambda c: c[0])
+    witness = codes.UpperWitness(B, r0, weight, curve, D)
+    vars(witness)["section"] = f  # the section built here, not the lazy one
+    return codes.UpperBound(weight or setup.n, formula_min, witness)
 
 
 def reference_k_bounds(dp):
@@ -917,7 +958,10 @@ def reference_k_bounds(dp):
 
 def assert_d_upper_matches_reference(setup):
     assert codes._sub_boxes(setup.dp, setup.q) == reference_sub_boxes(setup.dp, setup.q)
-    assert _outcome(d_upper, setup) == _outcome(reference_d_upper, setup), setup.dp
+    got, want = _outcome(d_upper, setup), _outcome(reference_d_upper, setup)
+    assert got == want, setup.dp
+    if want is not ValueError:
+        assert got.witness.section == want.witness.section, setup.dp
 
 
 @pytest.mark.parametrize("name", sorted(builtin_setups()))
@@ -943,30 +987,104 @@ def test_small_d_upper_matches_reference():
         seen += 1
 
 
-def test_d_upper_one_basis_per_divisor(monkeypatch):
-    # On the surface code, sub-boxes with equal floored slice minima and r0
-    # share their divisor, so there are fewer distinct divisors than boxes.
-    setup = surface_code_setup()
+def viable_boxes(setup):
+    """Each sub-box B with a positive formula bound, with its (c, r0) and
+    certificate divisor D, from the slices evaluated at every cell of B."""
     dp, l, q, g = setup.dp, setup.l, setup.q, setup.curve.genus
-    viable, divisors = 0, set()
+    stored = dp.stored_points()
+    out = []
     for B in reference_sub_boxes(dp, q):
         cells = list(itertools.product(*(range(s, t + 1) for s, t in B)))
-        c = tuple(math.floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in dp.stored_points())
+        c = tuple(math.floor(min(dp.slice_at(Q).evaluate(u) for u in cells)) for Q in stored)
         r0 = max(0, min(sum(c) - g, l))
         if (l - r0) * math.prod(q - 1 - (t - s) for s, t in B) > 0:
-            viable += 1
-            divisors.add((c, r0))
-    assert len(divisors) < viable
-    calls = []
+            D = Divisor(dict(zip(stored, c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
+            out.append((B, (c, r0), D))
+    return out
+
+
+def test_d_upper_one_basis_per_divisor(monkeypatch):
+    # On the surface code, sub-boxes with equal floored slice minima and r0
+    # share their divisor, so there are fewer distinct divisors than boxes,
+    # and each distinct one has its dimension taken once. Every point is
+    # flat, so no basis is built until the witness's section is read, and
+    # then exactly one.
+    setup = surface_code_setup()
+    boxes = viable_boxes(setup)
+    divisors = {key: D for _, key, D in boxes}
+    assert len(divisors) < len(boxes)
+    calls, dims = [], []
+    dimension = codes.rr_dimension
 
     def counting(curve, D):
         calls.append(D)
         return riemann_roch_basis(curve, D)
 
+    def counting_dims(curve, degree, divisor):
+        dims.append(degree)
+        return dimension(curve, degree, divisor)
+
     monkeypatch.setattr(codes, "riemann_roch_basis", counting)
-    assert d_upper(setup) == reference_d_upper(setup)
-    assert len(calls) == len(divisors)
-    assert len(set(map(repr, calls))) == len(calls)
+    monkeypatch.setattr(codes, "rr_dimension", counting_dims)
+    got = d_upper(setup)
+    assert (calls, len(dims)) == ([], len(divisors))
+    want = reference_d_upper(setup)
+    assert got == want
+    for _ in range(2):
+        assert got.witness.section == want.witness.section
+        assert calls == [got.witness.divisor]
+
+
+def test_flat_count_matches_the_evaluated_section():
+    # On every viable (c, r0), L(D) has dimension at most 1, and the flat
+    # points where its section is nonzero, counted from D (the first r0
+    # points and, when deg D = 1, the group sum of D are its zeros there),
+    # are the ones where `_section_values` reads a nonzero value.
+    setups = list(builtin_setups().values()) + [kernel_setup(*args) for args in KERNEL_SETUPS]
+    rng = random.Random(803)
+    drawn = 0
+    while drawn < 60:
+        setup = small_code_instance(rng)
+        if setup is not None:
+            setups.append(setup)
+            drawn += 1
+    counted = degree_one = 0
+    for setup in setups:
+        for (_, r0), D in {key: D for _, key, D in viable_boxes(setup)}.items():
+            basis = riemann_roch_basis(setup.curve, D)
+            assert len(basis) <= 1, D
+            if basis:
+                assert codes._flat_count(setup, D, r0) == flat_nonzero(setup, basis[0]), D
+                counted += 1
+                degree_one += D.degree() == 1
+    assert counted >= 200 and degree_one >= 100
+
+
+def test_d_upper_ties_go_to_the_first_box_in_bound_order():
+    # `d_upper` weighs boxes in order of flat weight, but of two lightest
+    # certificates the first in order of formula bound wins, as in the
+    # reference. Some of these draws tie a box with a later one of smaller
+    # flat weight, which the search weighs first.
+    rng = random.Random(817)
+    drawn = reordered = 0
+    while drawn < 60:
+        setup = small_code_instance(rng)
+        if setup is None:
+            continue
+        drawn += 1
+        assert_d_upper_matches_reference(setup)
+        boxes = []
+        for B, (_, r0), D in viable_boxes(setup):
+            basis = riemann_roch_basis(setup.curve, D)
+            if basis:
+                cells = math.prod(setup.q - 1 - (t - s) for s, t in B)
+                flat = flat_nonzero(setup, basis[0]) * cells
+                boxes.append(((setup.l - r0) * cells, witness_weight(setup, B, basis[0]), flat))
+        boxes.sort(key=lambda box: box[0])
+        least = min(weight for _, weight, _ in boxes if weight is not None)
+        lightest = [flat for _, weight, flat in boxes if weight == least]
+        reordered += lightest != sorted(lightest)
+    assert reordered >= 2
 
 
 @pytest.mark.parametrize("name", sorted(builtin_setups()))
