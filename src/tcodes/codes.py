@@ -12,15 +12,15 @@ keeps only those l-vectors: its rank splits by u mod q - 1 and is taken on
 them, and the full rows are built from them when first read. When no two
 weights agree mod q - 1, k needs no code at all: each weight adds
 l(floor(D_u)) - l(floor(D_u) - E), E the sum of the points, a formula in the
-degrees (`code_dimension`). Code columns, `d_upper` witnesses at sloped
-points and toric generators all come from one character table
-(`_characters`). At a flat point a witness weight is a count read from the
-certificate's divisor, so `d_upper` builds no section on a setup whose
-slices are all flat at its points.
+degrees (`code_dimension`). Code columns and toric generators come from
+one character table (`_characters`). `d_upper` builds and evaluates no
+section: each certificate weight is a count over the points off the
+certificate's zeros, read from its divisor and the twist gradients.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -179,13 +179,10 @@ def _inverse(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _section_values(
-    setup: EvaluationSetup, sections: list[FunctionFieldElement], ks: np.ndarray, at: np.ndarray | None = None
-) -> np.ndarray:
-    """f * t^k at evaluation points, as an int64 array with one row per
-    section f and one column per point of `at` (default: every point). `ks`
-    holds the twists, one row per section or one row for all. Every section
-    value in this module (code rows and witnesses at sloped points) comes
+def _section_values(setup: EvaluationSetup, sections: list[FunctionFieldElement], ks: np.ndarray) -> np.ndarray:
+    """f * t^k at the evaluation points, as an int64 array with one row per
+    section f and one column per point. `ks` holds the twists, one row per
+    section or one row for all. Every section value in this module comes
     from here.
 
     At an affine point where c(P) != 0, f = (a + b y) / c is regular, so
@@ -198,10 +195,8 @@ def _section_values(
     loop would. Every point is on the curve (`EvaluationSetup`).
     """
     p = setup.q
-    at = np.arange(setup.l) if at is None else at
     xs, ys, batched = setup._affine_arrays
-    xs, ys, batched = xs[at], ys[at], batched[at]
-    ks = np.broadcast_to(ks, (len(sections), len(at)))
+    ks = np.broadcast_to(ks, (len(sections), setup.l))
     values = np.zeros(ks.shape, dtype=np.int64)
     regular = np.zeros(ks.shape, dtype=bool)
     if batched.any():
@@ -210,7 +205,7 @@ def _section_values(
         regular = batched & (den != 0) & (ks >= 0)
         values = np.where(regular & (ks == 0), num * _inverse(den, p) % p, 0)
     for s, j in zip(*np.nonzero(~regular)):
-        values[s, j] = twisted_evaluate(setup.curve, sections[s], setup.points[at[j]], int(ks[s, j]))
+        values[s, j] = twisted_evaluate(setup.curve, sections[s], setup.points[j], int(ks[s, j]))
     return values
 
 
@@ -432,82 +427,68 @@ class UpperBound:
 def d_upper(setup: EvaluationSetup) -> UpperBound:
     """Upper distance bound certified by an explicit low-weight codeword.
 
-    For a sub-box B with sides r_i, let c_j be the floored minimum of slice j
-    over B; a nonzero section of D = sum(c_j Q_j) - (first r0 points), with
-    r0 = clamp(sum c_j - g, 0, l), multiplied by r_i distinct unit-root
-    factors per axis, yields a codeword whose exact weight certifies the
-    bound. The value is the lightest certificate over all viable sub-boxes
-    (ties to the first in order of formula bound, then sub-box);
-    formula_min records min (l - r0) prod(q - 1 - r_i), which the value can
-    exceed when an evaluation point has a sloped slice (the unit-root factors
-    collapse on such a column block) and which is not trustworthy on its own
-    when a certificate evaluates to the zero word. If every certificate does
-    (only possible when the code's section map has a kernel), the value falls
-    back to the code length.
+    For a sub-box B with sides r_a, let c_j be the floored minimum of slice j
+    over B; a nonzero f in L(D), D = sum(c_j Q_j) - (first r0 points) with
+    r0 = clamp(sum c_j - g, 0, l), times t^base prod_a prod_j (t_a - eta_j),
+    is a codeword whose weight (`_witness_weight`) certifies the bound. The
+    value is the lightest over all viable sub-boxes, ties to the first in
+    order of formula bound, then sub-box; formula_min records
+    min (l - r0) prod(q - 1 - r_a), which the value can exceed when an
+    evaluation point has a sloped slice and which is not trustworthy on its
+    own when a certificate is the zero word. If every certificate is (only
+    possible when the section map has a kernel), the value is n.
 
     On a viable box r0 < l, so deg D = min(sum c_j, g) and L(D) has
     dimension at most 1 (g <= 1): whether it is empty is a Riemann-Roch
-    dimension, and its section's flat-point weight is a count
-    (`_flat_count`), so no section is built for that. Only when a point has a
-    sloped slice are sections built, one per (c, r0), and weighed there
-    (`_witness_weight`), in order of their flat weight, a lower bound, until
-    that bound cannot beat the best weight found. Each box reads its c_j from
-    the integer floors at its corners; with no stored slice every c is empty
-    and the certificate is a constant.
+    dimension, and no section is built or evaluated. Each box reads c from
+    the integer floors at its corners (with no stored slice c is empty and f
+    is constant). Certificates are keyed by (c, r0), not by D: two keys can
+    give one D with different zeros (`_nonzero_points`).
     """
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
     floors = {u: [int(dp.at(u).floor[Q]) for Q in stored] for u in dp.lattice_points()}
-    certificates: dict[tuple[tuple[int, ...], int], tuple[Divisor, int] | None] = {}
-    candidates: list[tuple[int, tuple, int, Divisor, int]] = []
-    for B in _sub_boxes(dp, q):
+    flat = [tuple(a == 0 for a in v) for v, _ in setup.twists]
+    certificates: dict[tuple[tuple[int, ...], int], tuple[Divisor, list] | None] = {}
+    candidates: list[tuple[int | None, int, int, tuple, int, Divisor]] = []
+    for i, B in enumerate(_sub_boxes(dp, q)):
         # Every slice is concave, so its minimum over B is at a corner.
         c = tuple(min(column) for column in zip(*(floors[u] for u in product(*B))))
         r0 = max(0, min(sum(c) - g, l))
-        cells = prod(q - 1 - (t - s) for s, t in B)
-        if (l - r0) * cells <= 0:
+        bound = (l - r0) * prod(q - 1 - (t - s) for s, t in B)
+        if bound <= 0:
             continue
         if (c, r0) not in certificates:
             D = Divisor(dict(zip(stored, c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
             dim = rr_dimension(curve, sum(c) - r0, lambda: D)
             assert dim <= 1, f"L({D!r}) has dimension {dim} on a viable sub-box"
-            certificates[c, r0] = (D, _flat_count(setup, D, r0)) if dim else None
+            certificates[c, r0] = (D, _nonzero_points(setup, flat, D, r0)) if dim else None
         if certificates[c, r0]:
-            D, count = certificates[c, r0]
-            candidates.append(((l - r0) * cells, B, r0, D, count * cells))
+            D, nonzero = certificates[c, r0]
+            candidates.append((_witness_weight(q, B, nonzero), bound, i, B, r0, D))
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
-    candidates.sort(key=lambda c: c[0])
-    sloped = setup._twist_arrays[0].any()
-    sections: dict[int, FunctionFieldElement] = {}
-    best: tuple[int, int] | None = None
-    # A box weighs at least its flat weight, so none after the first whose
-    # (flat weight, position) exceeds the best (weight, position) can win.
-    for i in sorted(range(len(candidates)), key=lambda i: (candidates[i][4], i)):
-        _, B, _, D, flat = candidates[i]
-        if best is not None and (flat, i) > best:
-            break
-        if sloped:
-            if id(D) not in sections:
-                sections[id(D)] = riemann_roch_basis(curve, D)[0]
-            weight = _witness_weight(setup, B, sections[id(D)], flat)
-        else:
-            weight = flat or None
-        if weight is not None and (best is None or (weight, i) < best):
-            best = (weight, i)
-    # With no nonzero certificate: the first box in bound order, and length n.
-    weight, i = best or (None, 0)
-    _, B, r0, D, _ = candidates[i]
-    return UpperBound(weight or setup.n, candidates[0][0], UpperWitness(B, r0, weight, curve, D))
+    # The lightest nonzero word, ties to the first in bound then sub-box
+    # order; with none, the first box in that order, and length n.
+    first = min(candidates, key=lambda c: c[1])
+    weight, _, _, B, r0, D = min((c for c in candidates if c[0]), default=first)
+    return UpperBound(weight or setup.n, first[1], UpperWitness(B, r0, weight, curve, D))
 
 
-def _flat_count(setup: EvaluationSetup, D: Divisor, r0: int) -> int:
-    """Flat points (twist gradient 0) where f t^c is nonzero, f spanning the
-    one-dimensional L(D) of a `d_upper` certificate. div f + D is 0 or, when
-    deg D = 1 on an elliptic curve, the point R = group sum of D. The twist c
-    at a flat point P is the coefficient of sum(c_j Q_j) there, so
-    (f t^c)(P) != 0 exactly when P is neither R nor one of the first r0."""
+def _nonzero_points(
+    setup: EvaluationSetup, flat: list[tuple[bool, ...]], D: Divisor, r0: int
+) -> list[tuple[tuple[bool, ...], int]]:
+    """Evaluation points off the zeros of a `d_upper` certificate, counted by
+    their `flat` axes (those where the twist gradient is 0), one per point.
+
+    f spans the one-dimensional L(D), so div f + D is 0 or, when deg D = 1
+    on an elliptic curve, the point R = group sum of D. Elsewhere ord_P f is
+    -D(P), and D(P) is the least twist over the box at every evaluation point
+    P except the first r0, where it is one less. So the zeros of the
+    certificate are R and the first r0 points, and at every other point its
+    least-twist terms are nonzero.
+    """
     curve = setup.curve
     zeros = set(setup.points[:r0])
     if D.degree() == 1:
@@ -515,45 +496,28 @@ def _flat_count(setup: EvaluationSetup, D: Divisor, r0: int) -> int:
         for P, a in D.items():
             R = curve.group_add(R, curve.group_multiple(int(a), P))
         zeros.add(R)
-    sloped = setup._twist_arrays[0].any(axis=1).tolist()
-    return sum(not s and P not in zeros for P, s in zip(setup.points, sloped))
+    return list(Counter(axes for P, axes in zip(setup.points, flat) if P not in zeros).items())
 
 
-def _witness_weight(
-    setup: EvaluationSetup, B: tuple[tuple[int, int], ...], f: FunctionFieldElement, flat_weight: int
-) -> int | None:
-    """Exact weight of the certificate codeword, None if it evaluates to zero.
+def _witness_weight(q: int, B: tuple[tuple[int, int], ...], nonzero: list[tuple[tuple[bool, ...], int]]) -> int | None:
+    """Exact weight of the certificate codeword on sub-box B, None if it is
+    the zero word; `nonzero` counts the points off its zeros by flat axes
+    (`_nonzero_points`).
 
     The word is f t^base prod_a prod_j (t_a - eta_j), eta_j the first r_a
-    powers of g. At a flat point (twist gradient 0) every term shares the
-    twist c, so the word there is (f t^c)(P) t^base prod(t_a - eta_j), whose
-    weight is [(f t^c)(P) != 0] prod_a (q - 1 - r_a); `flat_weight` is their
-    sum over the flat points (`_flat_count` times the product). Only sloped
-    points are weighed column by column against the character table, their
-    values from one `_section_values` pass with one row per term.
+    powers of g. Off the zeros, the twist <u, v> + c at a point is least,
+    and equal to -ord_P f, only on the face of B where <u, v> is least, and
+    every other term vanishes there. On an axis with v_a != 0 that face keeps
+    one extreme monomial, nonzero on the whole torus; on an axis with
+    v_a = 0 it keeps the factor prod_j (t_a - eta_j), nonzero at q - 1 - r_a
+    values. So such a point weighs prod_a (q - 1 - r_a [v_a = 0]).
     """
-    p = setup.q
-    sides = [t - s for s, t in B]
-    gradients, offsets = setup._twist_arrays
-    sloped = np.flatnonzero(gradients.any(axis=1))
-    g = primitive_root(p)
-    base = tuple(s for s, _ in B)
-    shifts: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for r in sides:
-        # Coefficients of prod_j (T - eta_j) with eta_j the first r powers of g.
-        poly = Poly([1], p)
-        for j in range(r):
-            poly = poly * Poly([-pow(g, j, p), 1], p)
-        shifts = [(e + (d,), c * a % p) for e, c in shifts for d, a in enumerate(poly.coeffs)]
-    terms = [(tuple(b + d for b, d in zip(base, e)), c) for e, c in shifts if c]
-    U = np.array([u for u, _ in terms], dtype=np.int64).reshape(-1, setup.m)
-    values = _section_values(setup, [f] * len(terms), (U @ gradients.T + offsets)[:, sloped], sloped)
-    V = values * np.array([c for _, c in terms], dtype=np.int64)[:, None] % p
-    table = _characters(p, setup.m, U)
-    cols = np.zeros((len(sloped), table.shape[1]), dtype=np.int64)
-    for j in range(len(terms)):
-        cols = (cols + V[j, :, None] * table[j]) % p
-    return flat_weight + int(np.count_nonzero(cols)) or None
+    weight = 0
+    for flat, count in nonzero:
+        for (s, t), f in zip(B, flat):
+            count *= q - 1 - (t - s) * f
+        weight += count
+    return weight or None
 
 
 def d_exact(generator: MatrixFp, budget: int = 2_000_000) -> int:

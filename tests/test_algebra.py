@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcodes import algebra
 from tcodes.algebra import (
     MatrixFp,
     Poly,
@@ -53,6 +54,18 @@ def test_primitive_root_is_smallest():
         g = primitive_root(p)
         assert element_order(g, p) == p - 1
         assert all(element_order(h, p) < p - 1 for h in range(2, g))
+
+
+def test_primitive_root_is_found_once_per_field(monkeypatch):
+    # primitive_root keeps its answer per p: a second call makes no
+    # element_order sweep.
+    sweep = []
+    order = algebra.element_order
+    monkeypatch.setattr(algebra, "element_order", lambda a, p: sweep.append((a, p)) or order(a, p))
+    primitive_root.cache_clear()
+    for _ in range(2):
+        g = primitive_root(7)
+    assert sweep == [(a, 7) for a in range(2, g + 1)]
 
 
 def test_primitive_root_refuses_a_non_prime_every_time():

@@ -116,9 +116,9 @@ def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [["info", SAMPLE], ["example", "threefold", "info"]])
 def test_info_takes_k_without_building_the_code(monkeypatch, capsys, argv):
     # No two weights share a character mod q - 1 here, so k comes from
-    # Riemann-Roch dimensions: no code and no graded basis. Every evaluation
-    # point is flat, so d_upper counts its witnesses' weights from their
-    # divisors and builds no Riemann-Roch basis either.
+    # Riemann-Roch dimensions: no code and no graded basis. d_upper counts
+    # its certificates' weights from their divisors and the twist gradients
+    # and builds no Riemann-Roch basis either.
     def refuse(name):
         def call(*args):
             raise AssertionError(f"{name} called by tcode info")

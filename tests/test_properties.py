@@ -339,6 +339,27 @@ def small_code_instance(rng) -> EvaluationSetup | None:
     return setup
 
 
+def small_plane_code_instance(rng) -> EvaluationSetup | None:
+    """A rectangle-box setup with 1 <= k <= 12 over F_5 or F_7, or None.
+
+    Every slice is affine with integer data and a gradient in {-1, 0, 1}^2,
+    so every carrier is an evaluation point and most draws have points with
+    one or two sloped axes beside the flat unmarked ones.
+    """
+    p = rng.choice([5, 7])
+    curve = rng.choice([Curve.p1(p), Curve.elliptic(5, 0, 3) if p == 5 else E7])
+    a, b = rng.randint(1, 2), rng.randint(1, 2)
+    corners = [(0, 0), (a, 0), (0, b), (a, b)]
+    slices = {}
+    for P in rng.sample(curve.rational_points(), rng.randint(1, 3)):
+        grad, c = (rng.randint(-1, 1), rng.randint(-1, 1)), rng.randint(-2, 4)
+        slices[P] = ConcavePL.from_graph_points([(v, grad[0] * v[0] + grad[1] * v[1] + c) for v in corners])
+    dp = DivisorialPolytope(curve, LatticePolytope(corners), slices)
+    if not validate(dp).ok or not 1 <= graded_sections(dp).total_dim <= 12:
+        return None
+    return EvaluationSetup.build(dp)
+
+
 def test_distance_bounds_sandwich_exact_distance():
     rng = random.Random(112)
     checked = 0
@@ -361,7 +382,9 @@ def test_distance_bounds_sandwich_exact_distance():
         checked += 1
 
 
-def test_upper_formula_undershoots_when_a_section_evaluates_to_zero():
+def zero_certificate_setup() -> EvaluationSetup:
+    """A setup over E(F_5) whose section map has a kernel: some `d_upper`
+    certificates evaluate to the zero word."""
     curve = Curve.elliptic(5, 0, 3)
     slices = {
         CurvePoint.affine(1, 2, 5): ConcavePL.from_graph_points([((0,), -3), ((2,), 4)]),
@@ -370,7 +393,12 @@ def test_upper_formula_undershoots_when_a_section_evaluates_to_zero():
     }
     dp = DivisorialPolytope(curve, LatticePolytope([(0,), (2,)]), slices)
     assert validate(dp).ok
-    setup = EvaluationSetup.build(dp)
+    return EvaluationSetup.build(dp)
+
+
+def test_upper_formula_undershoots_when_a_section_evaluates_to_zero():
+    setup = zero_certificate_setup()
+    dp = setup.dp
     code = build_code(setup)
     assert (code.n, code.k) == (16, 4)
     assert code.k < graded_sections(dp).total_dim
