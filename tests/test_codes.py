@@ -440,6 +440,17 @@ def reference_witness_weight(setup, B, f):
     return weight if any_nonzero else None
 
 
+def flat_nonzero(setup, f):
+    """The flat points where f times its twist is nonzero, evaluated by
+    `_section_values`; sloped points get the twist -ord_P f, which is legal
+    for any f, and are not counted."""
+    gradients, offsets = setup._twist_arrays
+    flat = ~gradients.any(axis=1)
+    ks = [int(k) if fl else -valuation(setup.curve, f, P) for P, k, fl in zip(setup.points, offsets, flat)]
+    values = codes._section_values(setup, [f], np.array(ks))[0]
+    return int(np.count_nonzero(values[flat]))
+
+
 def reference_toric_generator(p, lattice_points):
     g = primitive_root(p)
     powers = [pow(g, i, p) for i in range(p - 1)]
@@ -622,6 +633,46 @@ def test_witness_weight_matches_reference_on_flat_and_sloped_points():
             sloped += any(map(any, gradients)) and any(t > s for s, t in B)
             mixed += any(any(v) and not all(v) for v in gradients)
     assert weighed >= 1500 and degree_one >= 750 and sloped >= 500 and mixed >= 500 and zero >= 1
+
+
+def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
+    # `d_upper` makes no `_section_values` pass on flat or sloped setups.
+    # Each certificate with a section has its points counted once, by
+    # `_nonzero_points`, and every box it certifies is weighed from that
+    # count by `_witness_weight`, matching the full-table reference.
+    setups = [kernel_setup(*args) for args in KERNEL_SETUPS] + list(builtin_setups().values())
+    counter, kernel = codes._nonzero_points, codes._witness_weight
+    sloped_setups = flat_setups = 0
+    for setup in setups:
+        counted, weighed, evaluated = [], [], []
+
+        def counting(setup_, flat, D, r0):
+            counted.append((r0, D))
+            return counter(setup_, flat, D, r0)
+
+        def weighing(q, B, nonzero):
+            weighed.append((B, kernel(q, B, nonzero)))
+            return weighed[-1][1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(codes, "_nonzero_points", counting)
+            mp.setattr(codes, "_witness_weight", weighing)
+            mp.setattr(codes, "_section_values", lambda *args: evaluated.append(args))
+            if _outcome(d_upper, setup) is ValueError:
+                continue
+        boxes = {B: (key, D) for B, key, D in viable_boxes(setup)}
+        sections = {key: riemann_roch_basis(setup.curve, D) for key, D in boxes.values()}
+        certified = {key: D for key, D in boxes.values() if sections[key]}
+        assert evaluated == []
+        assert len(counted) == len(certified)
+        assert all((key[1], D) in counted for key, D in certified.items())
+        assert sorted(B for B, _ in weighed) == sorted(B for B, (key, _) in boxes.items() if key in certified)
+        for B, weight in weighed:
+            assert weight == reference_witness_weight(setup, B, sections[boxes[B][0]][0]), B
+        sloped = bool(setup._twist_arrays[0].any())
+        sloped_setups += sloped
+        flat_setups += not sloped
+    assert sloped_setups >= 6 and flat_setups >= 4
 
 
 def test_d_upper_keys_certificates_by_floors_and_forced_zeros(monkeypatch):
@@ -977,6 +1028,65 @@ def viable_boxes(setup):
             D = Divisor(dict(zip(stored, c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
             out.append((B, (c, r0), D))
     return out
+
+
+def test_d_upper_one_basis_per_divisor(monkeypatch):
+    # On the surface code, sub-boxes with equal floored slice minima and r0
+    # share their divisor, so there are fewer distinct divisors than boxes,
+    # and each distinct one has its dimension taken once. No basis is built
+    # until the witness's section is read, and then exactly one.
+    setup = surface_code_setup()
+    boxes = viable_boxes(setup)
+    divisors = {key: D for _, key, D in boxes}
+    assert len(divisors) < len(boxes)
+    calls, dims = [], []
+    dimension = codes.rr_dimension
+
+    def counting(curve, D):
+        calls.append(D)
+        return riemann_roch_basis(curve, D)
+
+    def counting_dims(curve, degree, divisor):
+        dims.append(degree)
+        return dimension(curve, degree, divisor)
+
+    monkeypatch.setattr(codes, "riemann_roch_basis", counting)
+    monkeypatch.setattr(codes, "rr_dimension", counting_dims)
+    got = d_upper(setup)
+    assert (calls, len(dims)) == ([], len(divisors))
+    want = reference_d_upper(setup)
+    assert got == want
+    for _ in range(2):
+        assert got.witness.section == want.witness.section
+        assert calls == [got.witness.divisor]
+
+
+def test_flat_count_matches_the_evaluated_section():
+    # On every viable (c, r0), L(D) has dimension at most 1, and the flat
+    # points off the certificate's zeros, as `_nonzero_points` counts them
+    # from D (the first r0 points and, when deg D = 1, the group sum of D),
+    # are the ones where `_section_values` reads a nonzero value.
+    setups = list(builtin_setups().values()) + [kernel_setup(*args) for args in KERNEL_SETUPS]
+    rng = random.Random(803)
+    drawn = 0
+    while drawn < 60:
+        setup = small_code_instance(rng)
+        if setup is not None:
+            setups.append(setup)
+            drawn += 1
+    counted = degree_one = 0
+    for setup in setups:
+        flat = [tuple(a == 0 for a in v) for v, _ in setup.twists]
+        for (_, r0), D in {key: D for _, key, D in viable_boxes(setup)}.items():
+            basis = riemann_roch_basis(setup.curve, D)
+            assert len(basis) <= 1, D
+            if basis:
+                nonzero = codes._nonzero_points(setup, flat, D, r0)
+                flat_count = sum(count for axes, count in nonzero if all(axes))
+                assert flat_count == flat_nonzero(setup, basis[0]), D
+                counted += 1
+                degree_one += D.degree() == 1
+    assert counted >= 200 and degree_one >= 100
 
 
 def test_d_upper_builds_no_section_until_the_witness_is_read(monkeypatch):
