@@ -253,6 +253,8 @@ class MatrixFp:
     """Dense matrix over F_p; its rank, RREF, kernel and independent rows
     all come from one `echelon` of its rows."""
 
+    _independent = False  # set only by `_of_residues`
+
     def __init__(self, rows: list[list[int]], p: int):
         check_prime_field(p)
         self.p = p
@@ -261,6 +263,15 @@ class MatrixFp:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged matrix")
+
+    @classmethod
+    def _of_residues(cls, rows: list[list[int]], p: int, independent: bool = False) -> "MatrixFp":
+        """A matrix that takes rows of residues mod p, of one width, as they
+        are: no copy and no reduction. `independent` records that the rows
+        are linearly independent."""
+        matrix = object.__new__(cls)
+        matrix.p, matrix.rows, matrix._independent = p, rows, independent
+        return matrix
 
     @property
     def ncols(self) -> int:

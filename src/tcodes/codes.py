@@ -9,13 +9,15 @@ The columns at one point form a block over the torus (F_q^*)^m, and a row of
 weight u is (twisted values at the l points) tensor the character t -> t^u.
 The twisted values come from one batched kernel (`_section_values`). A code
 keeps only those l-vectors: its rank splits by u mod q - 1 and is taken on
-them, and the full rows are built from them when first read. When no two
-weights agree mod q - 1, k needs no code at all: each weight adds
-l(floor(D_u)) - l(floor(D_u) - E), E the sum of the points, a formula in the
-degrees (`code_dimension`). Code columns and toric generators come from
-one character table (`_characters`). `d_upper` builds and evaluates no
-section: each certificate weight is a count over the points off the
-certificate's zeros, read from its divisor and the twist gradients.
+them, and the full rows are built from them when first read, as one int64
+table of residues that the rows, the matrix and the generator share and
+that no step reduces again. When no two weights agree mod q - 1, k needs no
+code at all: each weight adds l(floor(D_u)) - l(floor(D_u) - E), E the sum
+of the points, a formula in the degrees (`code_dimension`). Code columns and
+toric generators come from one character table (`_characters`). `d_upper`
+builds and evaluates no section: each certificate is the integer pair
+(c, r0), and its weight is a count over the points off its zeros, read from
+those integers and the twist gradients.
 """
 
 from __future__ import annotations
@@ -251,12 +253,20 @@ class EvaluationCode:
         )
 
     @cached_property
+    def _table(self) -> np.ndarray:
+        """The evaluation matrix as one int64 array of residues: each l-vector
+        tensor its character, one column per (point, torus element), points
+        outermost. `rows`, `matrix` and `generator` all read it."""
+        setup, count = self.setup, len(self.row_labels)
+        chi = _characters(setup.q, setup.m, [u for u, _ in self.row_labels])
+        table = np.array(self.values, dtype=np.int64).reshape(count, setup.l, 1) * chi[:, None, :]
+        table %= setup.q
+        return table.reshape(count, setup.n)
+
+    @cached_property
     def rows(self) -> list[list[int]]:
-        """The k x n evaluation matrix: each l-vector tensor its character,
-        one column per (point, torus element), points outermost."""
-        p = self.setup.q
-        chi = _characters(p, self.setup.m, [u for u, _ in self.row_labels])
-        return [(np.array(v, dtype=np.int64)[:, None] * c % p).ravel().tolist() for v, c in zip(self.values, chi)]
+        """The evaluation matrix, one list per row label."""
+        return self._table.tolist()
 
     @property
     def n(self) -> int:
@@ -271,11 +281,12 @@ class EvaluationCode:
         return self.k == len(self.row_labels)
 
     def matrix(self) -> MatrixFp:
-        return MatrixFp(self.rows, self.setup.q)
+        return MatrixFp._of_residues(self._table.tolist(), self.setup.q)
 
     def generator(self) -> MatrixFp:
         """The first k linearly independent rows, in construction order."""
-        return MatrixFp([self.rows[i] for i in self.selected], self.setup.q)
+        rows = [self._table[i].tolist() for i in self.selected]
+        return MatrixFp._of_residues(rows, self.setup.q, independent=True)
 
 
 def build_code(setup: EvaluationSetup) -> EvaluationCode:
@@ -438,20 +449,22 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
     own when a certificate is the zero word. If every certificate is (only
     possible when the section map has a kernel), the value is n.
 
-    On a viable box r0 < l, so deg D = min(sum c_j, g) and L(D) has
-    dimension at most 1 (g <= 1): whether it is empty is a Riemann-Roch
-    dimension, and no section is built or evaluated. Each box reads c from
-    the integer floors at its corners (with no stored slice c is empty and f
-    is constant). Certificates are keyed by (c, r0), not by D: two keys can
-    give one D with different zeros (`_nonzero_points`).
+    On a viable box r0 < l, so deg D = sum c_j - r0 = min(sum c_j, g) and
+    L(D) has dimension at most 1 (g <= 1): whether it is empty is a
+    Riemann-Roch dimension, and no section is built or evaluated. Each box
+    reads c from the integer floors at its corners (with no stored slice c is
+    empty and f is constant). Certificates are keyed, weighed and deduped by
+    the integers (c, r0), not by D: two keys can give one D with different
+    zeros (`_nonzero_points`). D itself is built only where a divisor is
+    read: the elliptic degree-0 dimension, and the winning witness.
     """
     dp, curve = setup.dp, setup.curve
     l, q, g = setup.l, setup.q, curve.genus
     stored = dp.stored_points()
-    floors = {u: [int(dp.at(u).floor[Q]) for Q in stored] for u in dp.lattice_points()}
+    floors = {u: [dp.at(u).floor[Q] for Q in stored] for u in dp.lattice_points()}
     flat = [tuple(a == 0 for a in v) for v, _ in setup.twists]
-    certificates: dict[tuple[tuple[int, ...], int], tuple[Divisor, list] | None] = {}
-    candidates: list[tuple[int | None, int, int, tuple, int, Divisor]] = []
+    certificates: dict[tuple[tuple[int, ...], int], list | None] = {}
+    candidates: list[tuple[int | None, int, int, tuple, tuple[int, ...], int]] = []
     for i, B in enumerate(_sub_boxes(dp, q)):
         # Every slice is concave, so its minimum over B is at a corner.
         c = tuple(min(column) for column in zip(*(floors[u] for u in product(*B))))
@@ -460,41 +473,46 @@ def d_upper(setup: EvaluationSetup) -> UpperBound:
         if bound <= 0:
             continue
         if (c, r0) not in certificates:
-            D = Divisor(dict(zip(stored, c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
-            dim = rr_dimension(curve, sum(c) - r0, lambda: D)
-            assert dim <= 1, f"L({D!r}) has dimension {dim} on a viable sub-box"
-            certificates[c, r0] = (D, _nonzero_points(setup, flat, D, r0)) if dim else None
-        if certificates[c, r0]:
-            D, nonzero = certificates[c, r0]
-            candidates.append((_witness_weight(q, B, nonzero), bound, i, B, r0, D))
+            dim = rr_dimension(curve, sum(c) - r0, lambda: _certificate(setup, c, r0))
+            assert dim <= 1, f"L({_certificate(setup, c, r0)!r}) has dimension {dim} on a viable sub-box"
+            certificates[c, r0] = _nonzero_points(setup, flat, c, r0) if dim else None
+        if (nonzero := certificates[c, r0]) is not None:
+            candidates.append((_witness_weight(q, B, nonzero), bound, i, B, c, r0))
     if not candidates:
         raise ValueError("no valid sub-box certificate exists")
     # The lightest nonzero word, ties to the first in bound then sub-box
     # order; with none, the first box in that order, and length n.
     first = min(candidates, key=lambda c: c[1])
-    weight, _, _, B, r0, D = min((c for c in candidates if c[0]), default=first)
-    return UpperBound(weight or setup.n, first[1], UpperWitness(B, r0, weight, curve, D))
+    weight, _, _, B, c, r0 = min((c for c in candidates if c[0]), default=first)
+    return UpperBound(weight or setup.n, first[1], UpperWitness(B, r0, weight, curve, _certificate(setup, c, r0)))
+
+
+def _certificate(setup: EvaluationSetup, c: tuple[int, ...], r0: int) -> Divisor:
+    """D = sum(c_j Q_j) - (first r0 points), Q_j the stored points."""
+    return Divisor(dict(zip(setup.dp.stored_points(), c))) - Divisor(dict.fromkeys(setup.points[:r0], 1))
 
 
 def _nonzero_points(
-    setup: EvaluationSetup, flat: list[tuple[bool, ...]], D: Divisor, r0: int
+    setup: EvaluationSetup, flat: list[tuple[bool, ...]], c: tuple[int, ...], r0: int
 ) -> list[tuple[tuple[bool, ...], int]]:
-    """Evaluation points off the zeros of a `d_upper` certificate, counted by
-    their `flat` axes (those where the twist gradient is 0), one per point.
+    """Evaluation points off the zeros of the `d_upper` certificate (c, r0),
+    counted by their `flat` axes (those where the twist gradient is 0), one
+    per point.
 
-    f spans the one-dimensional L(D), so div f + D is 0 or, when deg D = 1
-    on an elliptic curve, the point R = group sum of D. Elsewhere ord_P f is
-    -D(P), and D(P) is the least twist over the box at every evaluation point
-    P except the first r0, where it is one less. So the zeros of the
-    certificate are R and the first r0 points, and at every other point its
-    least-twist terms are nonzero.
+    f spans the one-dimensional L(D), D = sum(c_j Q_j) - (first r0 points),
+    so div f + D is 0 or, when deg D = sum c_j - r0 = 1 on an elliptic curve,
+    the point R = group sum of D. Elsewhere ord_P f is -D(P), and D(P) is
+    the least twist over the box at every evaluation point P except the
+    first r0, where it is one less. So the zeros of the certificate are R
+    and the first r0 points, and at every other point its least-twist terms
+    are nonzero.
     """
-    curve = setup.curve
-    zeros = set(setup.points[:r0])
-    if D.degree() == 1:
+    curve, forced = setup.curve, setup.points[:r0]
+    zeros = set(forced)
+    if sum(c) - r0 == 1:
         R = INFINITY
-        for P, a in D.items():
-            R = curve.group_add(R, curve.group_multiple(int(a), P))
+        for Q, a in [*zip(setup.dp.stored_points(), c), *zip(forced, [-1] * r0)]:
+            R = curve.group_add(R, curve.group_multiple(a, Q))
         zeros.add(R)
     return list(Counter(axes for P, axes in zip(setup.points, flat) if P not in zeros).items())
 
@@ -608,7 +626,8 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     """Weight distribution of the full code (including the zero word).
 
     Exhausts the (p^k - 1)/(p - 1) projective classes of the k independent
-    rows at O(n) byte compares each; past `budget` classes, BudgetExceeded.
+    rows (all of a code's `generator()`, else the first maximal independent
+    set) at O(n) byte compares each; past `budget` classes, BudgetExceeded.
     A split table holds the words spanned by the last r rows (r largest with
     p^r * n <= TABLE_CAP), one column per word, built by `_span`. A prefix
     word w plus table word t vanishes at column j iff t_j = -w_j, so one
@@ -634,7 +653,7 @@ def weight_enumerator(generator: MatrixFp, budget: int = 2_000_000) -> dict[int,
     Besides G, no array holds more than max(TABLE_CAP, n) elements: numbers
     run TABLE_CAP // max(g, n) at a time.
     """
-    rows = [generator.rows[i] for i in generator.independent_row_indices()]
+    rows = generator.rows if generator._independent else [generator.rows[i] for i in generator.independent_row_indices()]
     p, n, k = generator.p, generator.ncols, len(rows)
     classes = (p**k - 1) // (p - 1)
     if classes > budget:

@@ -150,9 +150,14 @@ class LatticePolytope:
         vals = [v[axis] for v in self.vertices]
         return min(vals), max(vals)
 
+    @cached_property
+    def _points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_lattice_points(self.vertices))
+
     def lattice_points(self) -> list[tuple[int, ...]]:
-        """All integer points, in lexicographic order."""
-        return _lattice_points(self.vertices)
+        """All integer points, in lexicographic order, as a new list; the
+        scan runs once per polytope, since nothing mutates one."""
+        return list(self._points)
 
     def volume(self) -> Fraction:
         """Length for m = 1, Euclidean area for m = 2."""

@@ -163,27 +163,30 @@ class Curve:
 
 
 class Divisor:
-    """Formal Q-linear combination of curve points."""
+    """Formal Q-linear combination of curve points. An integral coefficient
+    is stored as an `int`, any other as a `Fraction`; equal numbers compare,
+    hash and print alike whichever type holds them."""
 
     def __init__(self, coeffs: dict[CurvePoint, Fraction | int] | None = None):
-        self.coeffs: dict[CurvePoint, Fraction] = {}
+        self.coeffs: dict[CurvePoint, Fraction | int] = {}
         if coeffs:
             for P, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[P] = c
+                if not isinstance(c, (int, Fraction)):
+                    c = Fraction(c)
+                if c:
+                    self.coeffs[P] = c.numerator if c.denominator == 1 else c
 
-    def __getitem__(self, P: CurvePoint) -> Fraction:
-        return self.coeffs.get(P, Fraction(0))
+    def __getitem__(self, P: CurvePoint) -> Fraction | int:
+        return self.coeffs.get(P, 0)
 
-    def items(self) -> list[tuple[CurvePoint, Fraction]]:
+    def items(self) -> list[tuple[CurvePoint, Fraction | int]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
     def support(self) -> list[CurvePoint]:
         return [P for P, _ in self.items()]
 
-    def degree(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+    def degree(self) -> Fraction | int:
+        return sum(self.coeffs.values())
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -194,7 +197,7 @@ class Divisor:
     def __add__(self, other: "Divisor") -> "Divisor":
         out = dict(self.coeffs)
         for P, c in other.coeffs.items():
-            out[P] = out.get(P, Fraction(0)) + c
+            out[P] = out.get(P, 0) + c
         return Divisor(out)
 
     def __sub__(self, other: "Divisor") -> "Divisor":

@@ -39,7 +39,7 @@ class WeightSlices(NamedTuple):
 
     value: Divisor  # sum over the stored points P of h_P(u) * P
     floor: Divisor
-    degree: Fraction
+    degree: Fraction | int
     floor_degree: int
 
     @property
@@ -84,7 +84,7 @@ class DivisorialPolytope:
         if u not in self._at:
             value = Divisor({P: s.evaluate(u) for P, s in self.slices.items()})
             floored = value.floor()
-            self._at[u] = WeightSlices(value, floored, value.degree(), int(floored.degree()))
+            self._at[u] = WeightSlices(value, floored, value.degree(), floored.degree())
         return self._at[u]
 
     def lattice_points(self) -> list[tuple[int, ...]]:

@@ -567,6 +567,24 @@ def kernel_setup(curve, point, sizes):
     return EvaluationSetup.build(ruled_divpoly(curve, *sizes, point))
 
 
+def test_generator_and_matrix_take_the_rows_as_residues():
+    # `generator()` and `matrix()` hand the rows of one int64 table to
+    # MatrixFp without reducing them again; they equal the matrices that
+    # the public constructor makes of the same rows, and only the
+    # generator's rows are marked independent, which they are.
+    for setup in [*builtin_setups().values(), *(kernel_setup(*args) for args in KERNEL_SETUPS)]:
+        code = build_code(setup)
+        rows, q = code.rows, setup.q
+        generator, matrix = code.generator(), code.matrix()
+        assert generator == MatrixFp([rows[i] for i in code.selected], q)
+        assert matrix == MatrixFp(rows, q)
+        assert (generator._independent, matrix._independent) == (True, False)
+        assert MatrixFp(generator.rows, q).independent_row_indices() == list(range(code.k))
+        # Each call builds new rows.
+        generator.rows[0][0] += 1
+        assert code.generator() != generator and code.rows == rows == code.matrix().rows
+
+
 @pytest.mark.parametrize("curve,point,sizes", KERNEL_SETUPS, ids=lambda x: getattr(x, "kind", None))
 def test_section_values_match_the_point_loop(curve, point, sizes):
     setup = kernel_setup(curve, point, sizes)
@@ -611,20 +629,31 @@ def d_upper_setups(seed, intervals, rectangles):
     return setups
 
 
+def group_sum(curve, D):
+    """The point sum(D(P) P) in the group law of an elliptic curve."""
+    R = INFINITY
+    for P, a in D.items():
+        R = curve.group_add(R, curve.group_multiple(int(a), P))
+    return R
+
+
 def test_witness_weight_matches_reference_on_flat_and_sloped_points():
     # On every viable box, L(D) has dimension at most 1, and the count that
-    # `_witness_weight` makes from the zeros of D and the twist gradients
-    # equals the weight of the certificate word, built from the basis
-    # element of L(D) and weighed against the full table.
-    weighed = degree_one = sloped = mixed = zero = 0
+    # `_witness_weight` makes from the certificate's (c, r0) and the twist
+    # gradients equals the weight of the certificate word, built from the
+    # basis element of L(D) and weighed against the full table. The draws
+    # cover nonzero principal degree-0 divisors on elliptic curves, and
+    # degree-1 divisors whose group sum R is an evaluation point after the
+    # first r0, a zero that only R accounts for.
+    weighed = degree_one = sloped = mixed = zero = principal = r_evaluated = 0
     for setup in d_upper_setups(803, 120, 80):
         flat = [tuple(a == 0 for a in v) for v, _ in setup.twists]
-        for B, (_, r0), D in viable_boxes(setup):
+        for B, (c, r0), D in viable_boxes(setup):
             basis = riemann_roch_basis(setup.curve, D)
             assert len(basis) <= 1, D
             if not basis:
                 continue
-            got = codes._witness_weight(setup.q, B, codes._nonzero_points(setup, flat, D, r0))
+            got = codes._witness_weight(setup.q, B, codes._nonzero_points(setup, flat, c, r0))
             assert got == reference_witness_weight(setup, B, basis[0]), (setup.dp, B)
             gradients = [v for v, _ in setup.twists[r0:]]
             weighed += 1
@@ -632,7 +661,10 @@ def test_witness_weight_matches_reference_on_flat_and_sloped_points():
             degree_one += D.degree() == 1
             sloped += any(map(any, gradients)) and any(t > s for s, t in B)
             mixed += any(any(v) and not all(v) for v in gradients)
+            principal += setup.curve.genus == 1 and D.degree() == 0 and not D.is_zero()
+            r_evaluated += D.degree() == 1 and group_sum(setup.curve, D) in setup.points[r0:]
     assert weighed >= 1500 and degree_one >= 750 and sloped >= 500 and mixed >= 500 and zero >= 1
+    assert principal >= 25 and r_evaluated >= 600
 
 
 def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
@@ -646,9 +678,9 @@ def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
     for setup in setups:
         counted, weighed, evaluated = [], [], []
 
-        def counting(setup_, flat, D, r0):
-            counted.append((r0, D))
-            return counter(setup_, flat, D, r0)
+        def counting(setup_, flat, c, r0):
+            counted.append((c, r0))
+            return counter(setup_, flat, c, r0)
 
         def weighing(q, B, nonzero):
             weighed.append((B, kernel(q, B, nonzero)))
@@ -665,7 +697,7 @@ def test_d_upper_weighs_each_section_at_flat_points_once(monkeypatch):
         certified = {key: D for key, D in boxes.values() if sections[key]}
         assert evaluated == []
         assert len(counted) == len(certified)
-        assert all((key[1], D) in counted for key, D in certified.items())
+        assert all(key in counted for key in certified)
         assert sorted(B for B, _ in weighed) == sorted(B for B, (key, _) in boxes.items() if key in certified)
         for B, weight in weighed:
             assert weight == reference_witness_weight(setup, B, sections[boxes[B][0]][0]), B
@@ -1077,11 +1109,11 @@ def test_flat_count_matches_the_evaluated_section():
     counted = degree_one = 0
     for setup in setups:
         flat = [tuple(a == 0 for a in v) for v, _ in setup.twists]
-        for (_, r0), D in {key: D for _, key, D in viable_boxes(setup)}.items():
+        for (c, r0), D in {key: D for _, key, D in viable_boxes(setup)}.items():
             basis = riemann_roch_basis(setup.curve, D)
             assert len(basis) <= 1, D
             if basis:
-                nonzero = codes._nonzero_points(setup, flat, D, r0)
+                nonzero = codes._nonzero_points(setup, flat, c, r0)
                 flat_count = sum(count for axes, count in nonzero if all(axes))
                 assert flat_count == flat_nonzero(setup, basis[0]), D
                 counted += 1

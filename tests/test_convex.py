@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from tcodes import (
     sup_convolution,
     toric_polytope,
 )
+from tcodes import convex
+from tcodes.cli import EXIT_OK, main
 from tcodes.convex import (
     Facet,
     Point,
@@ -84,6 +87,36 @@ def test_interval_polytope():
     assert box.width_along(0) == 4
     assert polytope_contains(box, [Fraction(1, 2)])
     assert not polytope_contains(box, [5])
+
+
+def test_lattice_points_are_scanned_once_per_polytope(monkeypatch, capsys):
+    # A LatticePolytope is immutable, so it keeps its scan; each call returns
+    # a new list, equal to the uncached scan, that the caller may change.
+    rng = random.Random(2702)
+    boxes = [LatticePolytope.interval(lo, lo + rng.randint(0, 6)) for lo in range(-4, 5)]
+    while len(boxes) < 60:
+        vertices = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        boxes.append(LatticePolytope(vertices))
+    for box in boxes:
+        want = convex._lattice_points(box.vertices)
+        got = box.lattice_points()
+        assert got == want
+        got.append((99,) * box.m)
+        got.reverse()
+        assert box.lattice_points() == want
+    # Points, segments, triangles and larger polygons.
+    assert {min(len(box.vertices), 4) for box in boxes if box.m == 2} == {1, 2, 3, 4}
+    # One `tcode info` on the demo surface scans its box once, where it
+    # scanned it again for k, the bounds and every sub-box search. The other
+    # scans are the two slice domains that `sharp` sums over, which
+    # `LatticePolytope` does not own: it passes its vertices alone.
+    calls = []
+    scan = convex._lattice_points
+    monkeypatch.setattr(convex, "_lattice_points", lambda *args: calls.append(args) or scan(*args))
+    assert main(["info", str(Path(__file__).resolve().parent.parent / "demos" / "surface.tcode")]) == EXIT_OK
+    assert "d_upper = 33" in capsys.readouterr().out.splitlines()
+    assert [args for args in calls if len(args) == 1] == [(((0,), (4,)),)]
+    assert len(calls) == 3
 
 
 def test_hexagon_polytope():

@@ -235,6 +235,91 @@ def test_divisor_arithmetic():
     assert effective(Divisor({P: 2}))
 
 
+class ReferenceDivisor:
+    """The former `Divisor`: every coefficient a `Fraction`."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {P: Fraction(c) for P, c in coeffs.items() if Fraction(c) != 0}
+
+    def __getitem__(self, P):
+        return self.coeffs.get(P, Fraction(0))
+
+    def degree(self):
+        return sum(self.coeffs.values(), Fraction(0))
+
+    def is_integral(self):
+        return all(c.denominator == 1 for c in self.coeffs.values())
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for P, c in other.coeffs.items():
+            out[P] = out.get(P, Fraction(0)) + c
+        return ReferenceDivisor(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, k):
+        return ReferenceDivisor({P: c * k for P, c in self.coeffs.items()})
+
+    def floor(self):
+        return ReferenceDivisor({P: floor(c) for P, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        items = sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
+        return " + ".join(f"{c}*{P.render()}" for P, c in items)
+
+
+def test_divisor_matches_the_fraction_reference():
+    # Integral coefficients are stored as ints, others as Fractions; every
+    # operation gives what the all-Fraction former class gives: the same
+    # numbers, hashes and text, and D[P] = 0 for a point off the support.
+    rng = random.Random(2701)
+    pts = E7.rational_points()
+    missing = CurvePoint.affine(1, 1, 7)  # off E7, so in no support
+
+    def coefficient():
+        den = rng.choice([1, 1, 2, 3, 4])
+        c = Fraction(rng.randint(-9, 9), den)
+        return int(c) if den == 1 and rng.random() < 0.5 else c
+
+    def divisors():
+        coeffs = {P: coefficient() for P in rng.sample(pts, rng.randint(0, 4))}
+        return Divisor(coeffs), ReferenceDivisor(coeffs)
+
+    def check(got, want):
+        assert got.coeffs == want.coeffs and repr(got) == repr(want)
+        assert hash(frozenset(got.coeffs.items())) == hash(frozenset(want.coeffs.items()))
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.coeffs.values())
+        assert got.is_integral() == want.is_integral()
+        assert got.degree() == want.degree() and hash(got.degree()) == hash(want.degree())
+        assert str(got.degree()) == str(want.degree())
+        for P in [*pts, missing]:
+            assert got[P] == want[P] and hash(got[P]) == hash(want[P])
+        assert got[missing] == 0
+
+    fractional = integral = equal = 0
+    for _ in range(300):
+        (A, RA), (B, RB) = divisors(), divisors()
+        if rng.random() < 0.2:
+            # The same numbers held as the other type.
+            B = Divisor({P: Fraction(c) if type(c) is int else c for P, c in A.coeffs.items()})
+            RB = ReferenceDivisor(RA.coeffs)
+        k = coefficient()
+        for got, want in ((A, RA), (A + B, RA + RB), (A - B, RA - RB), (A.scale(k), RA.scale(k)), (A.floor(), RA.floor())):
+            check(got, want)
+        assert (A == B) == (RA == RB) and A == Divisor(RA.coeffs)
+        equal += A == B
+        fractional += not A.is_integral()
+        integral += A.is_integral() and not A.is_zero()
+    assert equal >= 40 and fractional >= 100 and integral >= 40
+
+
 def test_leading_coefficient_rejects_points_off_the_curve():
     with pytest.raises(ValueError, match="not on the curve"):
         leading_coefficient(E7, x_coord(E7), CurvePoint.affine(1, 1, 7))

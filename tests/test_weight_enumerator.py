@@ -230,6 +230,26 @@ def test_library_generators_match_reference():
         assert weight_enumerator(gen) == reference_weight_enumerator(gen)
 
 
+def test_only_a_code_generator_skips_the_row_selection(monkeypatch):
+    # The rows of `EvaluationCode.generator()` are its selected rows, which
+    # are independent, so `weight_enumerator` takes them as they are. Any
+    # other matrix is still reduced: a toric generator with two weights equal
+    # mod p - 1 repeats a row, and enumerates equal to the former kernel.
+    calls = []
+    select = MatrixFp.independent_row_indices
+    monkeypatch.setattr(MatrixFp, "independent_row_indices", lambda self: calls.append(self) or select(self))
+    gen = toric_generator(7, [(0, 0), (1, 0), (0, 1), (6, 0), (1, 1)])
+    enum = weight_enumerator(gen)
+    assert calls == [gen] and len(select(gen)) == 4 < len(gen.rows)
+    assert enum == reference_split_table_enumerator(gen)
+    code = build_code(toric_comparison_setup(7))
+    gen = code.generator()
+    calls.clear()
+    enum = weight_enumerator(gen)
+    assert calls == [] and select(gen) == list(range(code.k))
+    assert enum == reference_split_table_enumerator(gen) == weight_enumerator(code.matrix())
+
+
 def test_exact_distance_members_match_former_kernel():
     for gen, (n, k) in zip(member_generators(), [(66, 8), (36, 7), (100, 7)]):
         assert (gen.ncols, len(gen.independent_row_indices())) == (n, k)
