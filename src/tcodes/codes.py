@@ -46,6 +46,7 @@ from .tvariety import (
     DivisorialPolytope,
     genus_of_section,
     graded_sections,
+    nu,
     project,
 )
 
@@ -306,6 +307,12 @@ def build_code(setup: EvaluationSetup) -> EvaluationCode:
     return EvaluationCode(setup, values.tolist(), labels)
 
 
+def _section_count(dp: DivisorialPolytope) -> int:
+    """The number of graded basis elements: l(floor(D_u)) summed over the
+    lattice weights u, from the degrees in the records `dp.at(u)`."""
+    return sum(rr_dimension(dp.curve, at.floor_degree, lambda: at.floor) for at in map(dp.at, dp.lattice_points()))
+
+
 def code_dimension(setup: EvaluationSetup) -> int:
     """k, from Riemann-Roch dimensions when no two lattice weights agree mod
     q - 1, else `build_code(setup).k`.
@@ -322,13 +329,11 @@ def code_dimension(setup: EvaluationSetup) -> int:
     weights = dp.lattice_points()
     if len({tuple(c % (setup.q - 1) for c in u) for u in weights}) < len(weights):
         return build_code(setup).k
-    ats = [dp.at(u) for u in weights]
-    full = sum(rr_dimension(curve, at.floor_degree, lambda: at.floor) for at in ats)
     kernel = sum(
         rr_dimension(curve, at.floor_degree - l, lambda: at.floor - Divisor(dict.fromkeys(setup.points, 1)))
-        for at in ats
+        for at in map(dp.at, weights)
     )
-    return full - kernel
+    return _section_count(dp) - kernel
 
 
 @dataclass
@@ -368,18 +373,11 @@ def d_lower_surface(dp: DivisorialPolytope, l: int, q: int) -> DistanceBound:
     """Minimize (l - lambda) * (q - 1 - nu(lambda)) over feasible lambda (m = 1)."""
     if dp.m != 1:
         raise ValueError("the direct bound applies to interval boxes")
-    degs = [(dp.at(u).floor_degree, u[0]) for u in dp.lattice_points()]
-    lam0 = max(d for d, _ in degs)
+    lam0 = max(dp.at(u).floor_degree for u in dp.lattice_points())
     if lam0 < 0:
         raise ValueError("no sections: every floored degree is negative")
-    best = None
-    arg = 0
-    for lam in range(lam0 + 1):
-        # nu(lam): the width of the weights whose floored degree is >= lam.
-        alive = [x for d, x in degs if d >= lam]
-        val = max(0, l - lam) * max(0, q - 1 - (max(alive) - min(alive)))
-        if best is None or val < best:
-            best, arg = val, lam
+    # Ties go to the least lambda.
+    best, arg = min((max(0, l - lam) * max(0, q - 1 - nu(dp, lam)), lam) for lam in range(lam0 + 1))
     return DistanceBound(best, f"lambda={arg} of lambda0={lam0}")
 
 
@@ -814,7 +812,7 @@ def compare_with_product(curve: Curve, k1: int, tau: int, points: list[CurvePoin
         raise ValueError("slice offset must exceed 2g-2 for exact dimensions")
     dp = ruled_divpoly(curve, a, alpha, b)
     setup = EvaluationSetup.build(dp, points)
-    k_t = graded_sections(dp).total_dim
+    k_t = _section_count(dp)
     d_t = d_lower(setup).value
     k_prod = k1 * (tau + 1 - g)
     d_prod = (q - k1) * (l - tau)

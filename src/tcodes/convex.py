@@ -54,23 +54,25 @@ def _cross(o: IntPoint, a: IntPoint, b: IntPoint) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _chain(pts: Iterable[IntPoint]) -> list[IntPoint]:
+    """Monotone-chain scan of sorted points: the chain that turns strictly
+    counterclockwise at each kept point, so the lower hull from left to right
+    (or the upper hull from right to left, for points in reverse order)."""
+    chain: list[IntPoint] = []
+    for p in pts:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _hull(points: Iterable[IntPoint]) -> list[IntPoint]:
     """Convex hull of integer points, counterclockwise from the lexicographic
     minimum. Degenerate inputs give one point or the two segment endpoints."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: list[IntPoint] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[IntPoint] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
     if len(hull) < 3:
         return [pts[0], pts[-1]]
     return hull
@@ -104,11 +106,7 @@ def _lattice_points(hull: Sequence[IntPoint], den: int = 1) -> list[tuple[int, .
 def _upper_chain(pts: list[IntPoint]) -> tuple[list[IntPoint], bool]:
     """Upper hull of (position, value) pairs sorted by distinct positions,
     and whether some pair that is not a hull vertex lies on the hull."""
-    chain: list[IntPoint] = []
-    for p in pts:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) >= 0:
-            chain.pop()
-        chain.append(p)
+    chain = _chain(reversed(pts))[::-1]
     # bisect finds the chain edge over a position; a pair inside it is on the hull when collinear.
     ends = [x for x, _ in chain]
     return chain, any(

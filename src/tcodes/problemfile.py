@@ -207,7 +207,7 @@ def parse(text: str) -> ProblemSpec:
                 raise ParseError(line_no, "duplicate eval declaration")
             if len(tokens) < 2:
                 raise ParseError(line_no, "expected: eval all-admissible | eval <name> ...")
-            eval_tokens = tokens[1:]
+            eval_tokens, eval_line = tokens[1:], line_no
         else:
             raise ParseError(line_no, f"unknown key {key!r}")
 
@@ -259,9 +259,9 @@ def parse(text: str) -> ProblemSpec:
     if eval_tokens is not None and eval_tokens != ["all-admissible"]:
         for name in eval_tokens:
             if name not in points:
-                raise ParseError(0, f"unknown point {name!r} in eval")
+                raise ParseError(eval_line, f"unknown point {name!r} in eval")
         if len(set(eval_tokens)) != len(eval_tokens):
-            raise ParseError(0, "repeated point in eval")
+            raise ParseError(eval_line, "repeated point in eval")
         eval_names = eval_tokens
 
     if not box_is_interval:

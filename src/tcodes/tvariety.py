@@ -10,15 +10,16 @@ the projection used by the inductive distance bound.
 
 Here and in `codes`, the slices at a lattice weight u are read from one
 per-weight record, `DivisorialPolytope.at(u)`, filled on first read; only
-the runtime cross-checks in `sharp` and `euler_characteristic` evaluate the
-slices themselves, so each still compares two independent routes.
+`sharp`'s runtime cross-check (per-slice floor sums) and `inn` (the signed
+ceiling count over interior weights) evaluate the slices themselves, so
+`sharp` still compares two independent routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, lcm
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .convex import (
@@ -403,17 +404,12 @@ def genus_of_section(dp: DivisorialPolytope) -> tuple[int, int, int]:
 def euler_characteristic(dp: DivisorialPolytope) -> tuple[int, int, int]:
     """(constant, coefficient, value): chi = constant + coefficient * g(Y).
 
-    Cross-checked: the sharp-count form and the per-weight sum of
-    floor-degree + 1 - g agree identically.
+    chi is the sum over the N box lattice weights of floor-degree + 1 - g,
+    that is (sharp + N) - N * g; `sharp` cross-checks its sum per slice.
     """
     n_pts = len(dp.lattice_points())
-    g = dp.curve.genus
     const = sharp(dp) + n_pts
-    coeff = -n_pts
-    value = const + coeff * g
-    alt = sum(sum(floor(s.evaluate(u)) for s in dp.slices.values()) + 1 - g for u in dp.lattice_points())
-    assert value == alt, "Euler characteristic forms disagree"
-    return const, coeff, value
+    return const, -n_pts, const - n_pts * dp.curve.genus
 
 
 def box_lambda(dp: DivisorialPolytope, lam: int) -> list[tuple[int, ...]]:

@@ -88,12 +88,12 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
 
 
 def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
-    # Outside the three routes that cross-check the per-weight records by
-    # evaluating the slices themselves, each (stored slice, weight) pair is
-    # evaluated once. In all: 2 slices x 5 weights for the records, 10 each
-    # for sharp's per-slice sums and chi's per-weight form, and 6 for the
-    # interior ceiling count, 36 calls.
-    cross_checks = {"floor_sum_over_lattice", "signed_ceiling_interior_sum", "euler_characteristic"}
+    # Outside sharp's per-slice cross-check and the interior ceiling count,
+    # which evaluate the slices themselves, each (stored slice, weight) pair
+    # is evaluated once. In all: 2 slices x 5 weights for the records, 10
+    # for sharp's per-slice sums and 6 for the interior ceiling count, 26
+    # calls; chi reads sharp and evaluates no slice.
+    cross_checks = {"floor_sum_over_lattice", "signed_ceiling_interior_sum"}
     evaluate = ConcavePL.evaluate
     outside, total = Counter(), Counter()
 
@@ -110,7 +110,7 @@ def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
     code, _, _ = run(capsys, ["info", SAMPLE])
     assert code == EXIT_OK
     assert sorted(outside.values()) == [1] * 10
-    assert total == {"at": 10, "floor_sum_over_lattice": 10, "euler_characteristic": 10, "signed_ceiling_interior_sum": 6}
+    assert total == {"at": 10, "floor_sum_over_lattice": 10, "signed_ceiling_interior_sum": 6}
 
 
 @pytest.mark.parametrize("argv", [["info", SAMPLE], ["example", "threefold", "info"]])

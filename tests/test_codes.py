@@ -332,6 +332,17 @@ def test_compare_with_product_frozen():
     assert got.k_matches and got.d_strictly_better
 
 
+def test_compare_with_product_builds_no_basis(monkeypatch):
+    # k_tcode is a sum of Riemann-Roch dimensions, so no basis is built.
+    def refuse(curve, D):
+        raise AssertionError("compare_with_product built a Riemann-Roch basis")
+
+    for module in ("curve", "codes", "tvariety"):
+        monkeypatch.setattr(f"tcodes.{module}.riemann_roch_basis", refuse)
+    got = compare_with_product(E7, 3, 3, E7.rational_points())
+    assert (got.k_tcode, got.d_tcode) == (9, 44)
+
+
 def test_compare_with_product_validation():
     points = E7.rational_points()
     with pytest.raises(ValueError):
@@ -504,6 +515,14 @@ def assert_d_lower_matches_reference(setup):
     for l in sorted({1, setup.l, setup.l + 5}):
         got = _outcome(d_lower_surface, dp, l, setup.q)
         assert got == _outcome(reference_d_lower_surface, dp, l, setup.q), (dp, l)
+
+
+def test_d_lower_surface_ties_go_to_the_least_lambda():
+    # lambda = 0, 1, 2 give 24, 25 and 24 here.
+    dp = ruled_divpoly(Curve.p1(7), 2, 1, 0)
+    want = codes.DistanceBound(24, "lambda=0 of lambda0=2")
+    assert d_lower_surface(dp, 6, 7) == want
+    assert reference_d_lower_surface(dp, 6, 7) == want
 
 
 def builtin_setups():
@@ -753,7 +772,9 @@ def test_codes_evaluates_sections_in_one_place():
     # Every section value in `codes` comes from `_section_values`, which only
     # `build_code` calls; the one-point AG generator, which has no setup, is
     # the only other evaluator. A basis is built only by that generator and
-    # by the witness's lazy section, so `d_upper` cannot evaluate sections.
+    # by the witness's lazy section, so `d_upper` cannot evaluate sections,
+    # and only `build_code` builds the graded bases: section counts come
+    # from Riemann-Roch dimensions.
     tree = ast.parse(open(codes.__file__).read())
     functions = {}
     for node in tree.body:
@@ -761,7 +782,7 @@ def test_codes_evaluates_sections_in_one_place():
             functions[node.name] = node
         elif isinstance(node, ast.ClassDef):
             functions |= {f"{node.name}.{fn.name}": fn for fn in node.body if isinstance(fn, ast.FunctionDef)}
-    callers = {"twisted_evaluate": set(), "_section_values": set(), "riemann_roch_basis": set()}
+    callers = {"twisted_evaluate": set(), "_section_values": set(), "riemann_roch_basis": set(), "graded_sections": set()}
     for name, fn in functions.items():
         for node in ast.walk(fn):
             if isinstance(node, ast.Call):
@@ -772,6 +793,7 @@ def test_codes_evaluates_sections_in_one_place():
         "twisted_evaluate": {"_section_values", "one_point_ag_generator"},
         "_section_values": {"build_code"},
         "riemann_roch_basis": {"UpperWitness.section", "one_point_ag_generator"},
+        "graded_sections": {"build_code"},
     }
 
 

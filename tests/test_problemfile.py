@@ -87,8 +87,8 @@ def test_parse_errors():
         (base + "hstar R : (0,0) (1,0)\nhstar R : (0,0) (1,0)\n", "duplicate hstar"),
         (base + "hstar S : (0,0) (1,0)\n", "unknown point"),
         (base + "gadget on\n", "unknown key"),
-        (base + "eval S\n", "unknown point"),
-        (base + "eval R R\n", "repeated point"),
+        (base + "eval S\n", "line 5: unknown point 'S' in eval"),
+        (base + "eval R R\n", "line 5: repeated point in eval"),
         (base + "hstar R : (0,0) (0,1)\n", "repeated graph position"),
         ("field p=7\ncurve p1\nbox [3,1]\n", "empty interval"),
         ("field p=7\ncurve p1\nbox [0,a]\n", "bad rational"),

@@ -32,6 +32,7 @@ from tcodes import (
     d_lower,
     d_upper,
     divisor_of,
+    euler_characteristic,
     floor_sum_over_lattice,
     graded_sections,
     intersection_number,
@@ -445,7 +446,8 @@ def test_point_counts_obey_hasse_bound():
 
 def assert_weight_records_match(dp, monkeypatch):
     """`dp.at(u)` against each slice's own `evaluate` at every lattice weight,
-    with one evaluate per (stored slice, weight) and none on a second read."""
+    with one evaluate per (stored slice, weight) and none on a second read;
+    and chi against the per-weight sum of floor-degree + 1 - g."""
     dp = DivisorialPolytope(dp.curve, dp.box, dp.slices)  # no record read yet
     weights = dp.lattice_points()
     want = {u: slice_values(dp, u) for u in weights}
@@ -467,6 +469,8 @@ def assert_weight_records_match(dp, monkeypatch):
         assert at.degree == sum(values.values()), (dp, u)
         assert at.floor_degree == floor_degree(dp, u), (dp, u)
         assert at.effective == all(v >= 0 for v in values.values()), (dp, u)
+    g = dp.curve.genus
+    assert euler_characteristic(dp)[2] == sum(floor_degree(dp, u) + 1 - g for u in weights), dp
 
 
 def test_weight_records_match_the_per_call_path(monkeypatch):
@@ -577,6 +581,30 @@ def test_code_dimension_matches_the_built_code(monkeypatch):
         kernels += code.k < len(code.row_labels)
         fallbacks += shared
     assert kernels >= 150 and fallbacks >= 30, (kernels, fallbacks)
+
+
+def test_section_count_matches_the_graded_bases():
+    # The Riemann-Roch count of graded basis elements against the bases
+    # built, on random intervals and polygons over P^1 and E, and on
+    # elliptic floors of degree 0 at u = 0 (floor(D_0) - E of the kernel
+    # setups), principal and not.
+    rng = random.Random(116)
+    dps = [random_divpoly(rng, curve) for curve in (P1_7, E7) for _ in range(20)]
+    dps += [random_interval_setup(rng, c, rng.randint(1, 5)).dp for c in (Curve.p1(11), standard_elliptic(13)) for _ in range(10)]
+    for shape, verts in POLYGON_BOXES.items():
+        slices = dict(zip(rng.sample(E7.rational_points(), 3), folded_polygon_slices(rng, shape, 3)))
+        dps.append(DivisorialPolytope(E7, LatticePolytope(verts), slices))
+    for curve in (E7, standard_elliptic(13)):
+        for principal in (True, False):
+            for _ in range(5):
+                setup = elliptic_degree_zero_setup(rng, curve, principal)
+                box = setup.dp.box
+                slices = {P: ConcavePL.constant_on(box, -1) for P in setup.points}
+                dp = DivisorialPolytope(curve, box, slices | {INFINITY: setup.dp.slices[INFINITY]})
+                assert dp.at((0,)).floor_degree == 0 and is_principal(curve, dp.at((0,)).floor) == principal
+                dps.append(dp)
+    for dp in dps:
+        assert codes._section_count(dp) == graded_sections(dp).total_dim, dp
 
 
 def test_code_dimension_refuses_a_point_off_the_curve():

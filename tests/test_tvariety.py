@@ -341,18 +341,16 @@ def test_counting_invariants_surface():
 
 
 def test_cross_checks_catch_a_wrong_weight_record(monkeypatch):
-    # Both runtime cross-checks compare the per-weight records with routes
-    # that evaluate the slices themselves, so one wrong floor degree fails
-    # each: sharp's per-slice sums, and the per-weight form of chi even when
-    # sharp itself agrees with the records.
+    # sharp's runtime cross-check compares the per-weight records with
+    # per-slice sums that evaluate the slices themselves, so one wrong floor
+    # degree fails it, and chi, which reads sharp, with it.
     dp = surface_example(E7)
     u = dp.lattice_points()[2]
     at = dp.at(u)
     monkeypatch.setitem(dp._at, u, at._replace(floor_degree=at.floor_degree + 1))
     with pytest.raises(AssertionError, match="floor-degree bookkeeping mismatch"):
         sharp(dp)
-    monkeypatch.setattr(tvariety, "sharp", lambda dp: sum(dp.at(u).floor_degree for u in dp.lattice_points()))
-    with pytest.raises(AssertionError, match="Euler characteristic forms disagree"):
+    with pytest.raises(AssertionError, match="floor-degree bookkeeping mismatch"):
         euler_characteristic(dp)
 
 
