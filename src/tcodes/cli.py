@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from math import factorial
 
 from .codes import (
     BudgetExceeded,
@@ -33,7 +34,6 @@ from .tvariety import (
     euler_characteristic,
     genus_of_section,
     is_ample,
-    self_intersection,
     validate,
     volume,
     weil_divisor,
@@ -74,9 +74,10 @@ def _run_info(setup: EvaluationSetup) -> int:
     print(f"k_equality = {str(kb.equality_case).lower()}")
     print(f"d_lower = {low.value}")
     print(f"d_upper = {up.value}")
-    print(f"vol = {volume(dp)}")
-    print(f"degree = {self_intersection(dp)}")
-    print(f"degree_alt = {volume(dp)}")
+    vol = volume(dp)
+    print(f"vol = {vol}")
+    print(f"degree = {factorial(dp.m + 1) * vol}")  # self_intersection(dp)
+    print(f"degree_alt = {vol}")
     print(f"weil = {weil_divisor(dp).render()}")
     if dp.m == 1:
         g_const, g_coeff, g_val = genus_of_section(dp)

@@ -8,7 +8,10 @@ of concave piecewise-linear functions over their domains.
 The arithmetic runs in integers: numerators over common denominators, with
 `Fraction` built only for the public views and results. Graph points are
 lifted to integers once and enveloped; a sup-convolution envelopes the
-pairwise sums of its summands' stored vertices, in any dimension.
+pairwise sums of its summands' stored vertices, in any dimension. Values at
+lattice points come from one integer kernel, `ConcavePL._value`, with one
+`Fraction` per value; `Fraction` points are made only by `try_evaluate`,
+which lifts a rational point and calls the same kernel.
 """
 
 from __future__ import annotations
@@ -363,39 +366,41 @@ class ConcavePL:
         """Whether the domain's vertices are exactly these lattice points."""
         return set(self._domain) == {tuple(self._den * x for x in v) for v in vertices}
 
-    def _locate(self, u: Sequence[Fraction | int] | int) -> tuple[Point, IntPoint, int] | None:
-        """The point u with its numerators over their least denominator b,
-        when it lies in the domain; None when it does not."""
-        p = make_point(u)
-        if len(p) != self.m:
-            raise ValueError(f"{u} is not a point of dimension {self.m}")
-        b, (q,) = _lift([p])
-        dom = self._domain if b == 1 else [tuple(b * x for x in c) for c in self._domain]
-        return (p, q, b) if _contains(dom, tuple(self._den * x for x in q)) else None
-
     def domain_lattice_points(self) -> list[tuple[int, ...]]:
         """The integer points of the domain, in lexicographic order."""
         return _lattice_points(self._domain, self._den)
 
     # -- evaluation ------------------------------------------------------
 
-    def try_evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction | None:
-        hit = self._locate(u)
-        if hit is None:
+    def _value(self, q: IntPoint, b: int = 1) -> Fraction | None:
+        """The value at q / b, for integer numerators q and b >= 1: None when
+        that point is off the domain or of another dimension. At a lattice
+        point (b = 1) it reads the stored integers and builds one `Fraction`."""
+        w = self._den
+        p = tuple(w * x for x in q)  # the point over den, times b like the domain below
+        dom = self._domain if b == 1 else [tuple(b * x for x in c) for c in self._domain]
+        if len(q) != self.m or not _contains(dom, p):
             return None
-        p, q, b = hit
         if self._cells:
             # At q / b each piece is (den * <G, q> + b * C) / (gden * den * b).
-            w = self._den
             top = min(w * sum(map(mul, G, q)) + b * C for G, C, _ in self._cells)
             return Fraction(top, self._gden * w * b)
-        verts = self.vertices
-        if len(verts) == 1:
-            return verts[0][1]
+        if len(self._pts) == 1:
+            return Fraction(self._pts[0][1], w)
         # A segment in the plane: its vertices lie in order along it.
-        (qa, za), (qb, zb) = next(pair for pair in zip(verts, verts[1:]) if p <= pair[1][0])
-        axis = 0 if qa[0] != qb[0] else 1
-        return za + (zb - za) * (p[axis] - qa[axis]) / (qb[axis] - qa[axis])
+        (Xa, za), (Xb, zb) = next(
+            pair for pair in zip(self._pts, self._pts[1:]) if p <= tuple(b * x for x in pair[1][0])
+        )
+        axis = 0 if Xa[0] != Xb[0] else 1
+        d = Xb[axis] - Xa[axis]
+        return Fraction(b * d * za + (zb - za) * (p[axis] - b * Xa[axis]), b * d * w)
+
+    def try_evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction | None:
+        p = make_point(u)
+        if len(p) != self.m:
+            raise ValueError(f"{u} is not a point of dimension {self.m}")
+        b, (q,) = _lift([p])
+        return self._value(q, b)
 
     def evaluate(self, u: Sequence[Fraction | int] | int) -> Fraction:
         val = self.try_evaluate(u)
@@ -530,19 +535,17 @@ def sup_convolution(f: ConcavePL, g: ConcavePL) -> ConcavePL:
 
 def floor_sum_over_lattice(f: ConcavePL) -> int:
     """Sum of floor(f(u)) over the lattice points of the domain."""
-    return sum(floor(f.evaluate(u)) for u in f.domain_lattice_points())
+    return sum(floor(f._value(u)) for u in f.domain_lattice_points())
 
 
 def signed_ceiling_interior_sum(f: ConcavePL) -> int:
     """Sum over interior lattice points of sign(f(u)) * ceil(|f(u)|) (m = 1)."""
     if f.m != 1:
         raise ValueError("interior counting is defined on intervals")
-    dv = f.domain_vertices()
-    lo = floor(dv[0][0]) + 1
-    hi = ceil(dv[-1][0]) - 1
+    (lo,), (hi,), den = f._domain[0], f._domain[-1], f._den
     total = 0
-    for u in range(lo, hi + 1):
-        x = f.evaluate(u)
+    for u in range(lo // den + 1, -(-hi // den)):
+        x = f._value((u,))
         if x > 0:
             total += ceil(x)
         elif x < 0:

@@ -88,23 +88,21 @@ class Curve:
             return False
         if self.kind == "p1":
             return P.y == 0
-        return (P.y * P.y - self.rhs().evaluate(P.x)) % self.p == 0
+        x, y = P.x, P.y
+        return (y * y - x * x * x - self.A * x - self.B) % self.p == 0
 
     def rational_points(self) -> list[CurvePoint]:
         """All rational points, affine ones sorted by (x, y), infinity last."""
-        p = self.p
-        pts: list[CurvePoint] = []
+        p, A, B = self.p, self.A, self.B
         if self.kind == "p1":
-            pts = [CurvePoint.affine(x, 0, p) for x in range(p)]
+            pts = [CurvePoint(False, x, 0) for x in range(p)]
         else:
+            # Each list of square roots is filled in ascending y, so the scan
+            # over x yields the points already in (x, y) order.
             roots: dict[int, list[int]] = {}
             for y in range(p):
                 roots.setdefault(y * y % p, []).append(y)
-            cubic = self.rhs()
-            for x in range(p):
-                for y in roots.get(cubic.evaluate(x), []):
-                    pts.append(CurvePoint.affine(x, y, p))
-        pts.sort(key=CurvePoint.sort_key)
+            pts = [CurvePoint(False, x, y) for x in range(p) for y in roots.get((x * x * x + A * x + B) % p, ())]
         pts.append(INFINITY)
         return pts
 

@@ -247,7 +247,7 @@ def parse(text: str) -> ProblemSpec:
             graph.append((pos, parts[-1]))
         env = ConcavePL.from_graph_points(graph)
         for pos, val in graph:
-            got = env.try_evaluate(pos)
+            got = env._value(pos)
             if got is None or got != val:
                 raise ParseError(
                     line_no, f"graph point {pos} with value {val} is below the concave envelope"

@@ -11,8 +11,10 @@ the projection used by the inductive distance bound.
 Here and in `codes`, the slices at a lattice weight u are read from one
 per-weight record, `DivisorialPolytope.at(u)`, filled on first read; only
 `sharp`'s runtime cross-check (per-slice floor sums) and `inn` (the signed
-ceiling count over interior weights) evaluate the slices themselves, so
-`sharp` still compares two independent routes.
+ceiling count over interior weights) read the slices themselves, so
+`sharp` still compares two independent routes. Every one of these reads,
+like the concavity check in `project`, takes the integer kernel of
+`ConcavePL` at a lattice point, not a `Fraction` point through `evaluate`.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ class DivisorialPolytope:
     def at(self, u: tuple[int, ...]) -> WeightSlices:
         """The slices at the lattice weight u, evaluated on first read and kept."""
         if u not in self._at:
-            value = Divisor({P: s.evaluate(u) for P, s in self.slices.items()})
+            values = {P: s._value(u) for P, s in self.slices.items()}
+            if None in values.values():  # off the box: refused as `evaluate` refuses it
+                values = {P: s.evaluate(u) for P, s in self.slices.items()}
+            value = Divisor(values)
             floored = value.floor()
             self._at[u] = WeightSlices(value, floored, value.degree(), floored.degree())
         return self._at[u]
@@ -452,7 +457,7 @@ def project(dp: DivisorialPolytope) -> DivisorialPolytope:
             graph.append(((u1,), val))
         env = ConcavePL.from_graph_points(graph)
         for (u1,), val in graph:
-            if env.evaluate(u1) != val:
+            if env._value((u1,)) != val:
                 raise ValueError(
                     f"projection of slice at {P.render()} is not concave at {u1}"
                 )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tcodes import ConcavePL, cli, codes, curve, tvariety
+from tcodes import ConcavePL, Divisor, cli, codes, curve, tvariety
 from tcodes.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,29 +88,46 @@ def test_info_builds_each_slice_once(monkeypatch, capsys):
 
 
 def test_info_evaluates_each_slice_once_per_weight(monkeypatch, capsys):
-    # Outside sharp's per-slice cross-check and the interior ceiling count,
-    # which evaluate the slices themselves, each (stored slice, weight) pair
-    # is evaluated once. In all: 2 slices x 5 weights for the records, 10
-    # for sharp's per-slice sums and 6 for the interior ceiling count, 26
-    # calls; chi reads sharp and evaluates no slice.
-    cross_checks = {"floor_sum_over_lattice", "signed_ceiling_interior_sum"}
-    evaluate = ConcavePL.evaluate
-    outside, total = Counter(), Counter()
+    # Every read at a lattice weight takes the integer kernel
+    # `ConcavePL._value`, so `tcode info` makes no `ConcavePL.evaluate` call.
+    # Outside parse's envelope check, sharp's per-slice cross-check and the
+    # interior ceiling count, which read the slices themselves, each (stored
+    # slice, weight) pair is read once. In all: 6 graph points for parse,
+    # 2 slices x 5 weights for the records, 10 for sharp's per-slice sums
+    # and 6 for the interior ceiling count; chi reads sharp and reads no
+    # slice. The records equal each slice's own `evaluate`.
+    cross_checks = {"parse", "floor_sum_over_lattice", "signed_ceiling_interior_sum"}
+    value, at = ConcavePL._value, tvariety.DivisorialPolytope.at
+    outside, total, polytopes = Counter(), Counter(), {}
 
-    def counting(s, u):
+    def counting(s, q, b=1):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # comprehensions
             frame = frame.f_back
         total[frame.f_code.co_name] += 1
         if frame.f_code.co_name not in cross_checks:
-            outside[id(s), u] += 1
-        return evaluate(s, u)
+            outside[id(s), q] += 1
+        return value(s, q, b)
 
-    monkeypatch.setattr(ConcavePL, "evaluate", counting)
+    def recording(dp, u):
+        polytopes[id(dp)] = dp
+        return at(dp, u)
+
+    def refuse(s, u):
+        raise AssertionError("ConcavePL.evaluate called by tcode info")
+
+    monkeypatch.setattr(ConcavePL, "_value", counting)
+    monkeypatch.setattr(ConcavePL, "evaluate", refuse)
+    monkeypatch.setattr(tvariety.DivisorialPolytope, "at", recording)
     code, _, _ = run(capsys, ["info", SAMPLE])
     assert code == EXIT_OK
     assert sorted(outside.values()) == [1] * 10
-    assert total == {"at": 10, "floor_sum_over_lattice": 10, "signed_ceiling_interior_sum": 6}
+    assert total == {"parse": 6, "at": 10, "floor_sum_over_lattice": 10, "signed_ceiling_interior_sum": 6}
+    monkeypatch.undo()
+    (dp,) = polytopes.values()
+    assert sorted(dp._at) == dp.lattice_points()
+    for u, record in dp._at.items():
+        assert record.value == Divisor({P: s.evaluate(u) for P, s in dp.slices.items()}), u
 
 
 @pytest.mark.parametrize("argv", [["info", SAMPLE], ["example", "threefold", "info"]])

@@ -80,6 +80,29 @@ def test_rational_points_frozen():
     assert all(P.y == 0 or P.is_infinity for P in line_pts)
 
 
+
+def test_rational_points_and_contains_match_a_brute_force_scan():
+    # Oracle: every (x, y) tested through the `Poly` route, the points sorted
+    # afterwards; the library lists them in order and tests y^2 = x^3 + Ax + B
+    # inline.
+    primes = [p for p in range(5, 102) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for curve in (Curve.p1(p), Curve.elliptic(p, 0, 3)):
+            cubic = curve.rhs()
+
+            def on_curve(x, y):
+                return y == 0 if curve.is_p1 else (y * y - cubic.evaluate(x)) % p == 0
+
+            brute = sorted(
+                (CurvePoint.affine(x, y, p) for x in range(p) for y in range(p) if on_curve(x, y)),
+                key=CurvePoint.sort_key,
+            )
+            assert curve.rational_points() == brute + [INFINITY], (curve.kind, p)
+            for x in range(p):
+                for y in range(p):
+                    assert curve.contains(CurvePoint.affine(x, y, p)) == on_curve(x, y), (curve.kind, p, x, y)
+
+
 def test_group_law_samples():
     P = CurvePoint.affine(1, 2, 7)
     assert E7.group_add(P, P) == CurvePoint.affine(6, 3, 7)

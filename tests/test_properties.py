@@ -9,7 +9,9 @@ outside it, so the boundary is part of the contract.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import floor
+from itertools import product
+from math import ceil, floor
+from operator import mul
 
 import numpy as np
 import pytest
@@ -49,9 +51,10 @@ from tcodes import (
     weil_divisor,
 )
 from tcodes import codes
+from tcodes.convex import _contains, _lift, make_point, sup_convolution
 from tcodes.instances import standard_elliptic, threefold_code_setup, threefold_example
 
-from test_convex import POLYGON_BOXES, folded_polygon_slices
+from test_convex import POLYGON_BOXES, folded_polygon_slices, random_pl_graphs, rational_probes
 from test_curve import effective
 
 E7 = standard_elliptic()
@@ -446,18 +449,23 @@ def test_point_counts_obey_hasse_bound():
 
 def assert_weight_records_match(dp, monkeypatch):
     """`dp.at(u)` against each slice's own `evaluate` at every lattice weight,
-    with one evaluate per (stored slice, weight) and none on a second read;
-    and chi against the per-weight sum of floor-degree + 1 - g."""
+    read by the integer kernel with no `evaluate` call, once per (stored
+    slice, weight) and not again on a second read; and chi against the
+    per-weight sum of floor-degree + 1 - g."""
     dp = DivisorialPolytope(dp.curve, dp.box, dp.slices)  # no record read yet
     weights = dp.lattice_points()
     want = {u: slice_values(dp, u) for u in weights}
-    evaluate, calls = ConcavePL.evaluate, Counter()
+    value, calls = ConcavePL._value, Counter()
 
-    def counting(s, u):
-        calls[id(s), u] += 1
-        return evaluate(s, u)
+    def counting(s, q, b=1):
+        calls[id(s), q] += 1
+        return value(s, q, b)
 
-    monkeypatch.setattr(ConcavePL, "evaluate", counting)
+    def refuse(s, u):
+        raise AssertionError("DivisorialPolytope.at called ConcavePL.evaluate")
+
+    monkeypatch.setattr(ConcavePL, "_value", counting)
+    monkeypatch.setattr(ConcavePL, "evaluate", refuse)
     records = [dp.at(u) for u in weights]
     assert all(dp.at(u) is at for u, at in zip(weights, records))
     assert calls == Counter({(id(s), u): 1 for s in dp.slices.values() for u in weights})
@@ -499,6 +507,79 @@ def test_weight_records_match_the_per_call_path(monkeypatch):
     p1 = [random_divpoly(rng, P1_7) for _ in range(10)]
     for dp in intervals + polygons + sums + scaled + edge + p1:
         assert_weight_records_match(dp, monkeypatch)
+
+
+
+# Oracle: the former `try_evaluate`, which made a `Fraction` per coordinate
+# and lifted it again before the cell minimum. The library reads values at
+# lattice points from the stored integers (`ConcavePL._value`) and must give
+# the same value, or None off the domain.
+
+
+def fraction_route_value(f: ConcavePL, u) -> Fraction | None:
+    p = make_point(u)
+    b, (q,) = _lift([p])
+    dom = f._domain if b == 1 else [tuple(b * x for x in c) for c in f._domain]
+    if not _contains(dom, tuple(f._den * x for x in q)):
+        return None
+    if f._cells:
+        top = min(f._den * sum(map(mul, G, q)) + b * C for G, C, _ in f._cells)
+        return Fraction(top, f._gden * f._den * b)
+    verts = f.vertices
+    if len(verts) == 1:
+        return verts[0][1]
+    (qa, za), (qb, zb) = next(pair for pair in zip(verts, verts[1:]) if p <= pair[1][0])
+    axis = 0 if qa[0] != qb[0] else 1
+    return za + (zb - za) * (p[axis] - qa[axis]) / (qb[axis] - qa[axis])
+
+
+def widened_lattice_box(f: ConcavePL) -> list[tuple[int, ...]]:
+    """The integer points of the domain's bounding box widened by one."""
+    dv = f.domain_vertices()
+    axes = [[v[i] for v in dv] for i in range(f.m)]
+    return list(product(*(range(floor(min(a)) - 1, ceil(max(a)) + 2) for a in axes)))
+
+
+def test_lattice_kernel_matches_the_fraction_route():
+    rng = random.Random(129)
+    graphs = random_pl_graphs(rng)
+    slices = []
+    for _ in range(200):
+        graph = [(make_point(p), z) for p, z in next(graphs)]
+        # The same graph at half its positions: rational domain vertices.
+        halved = [(tuple(c / 2 for c in p), z) for p, z in graph]
+        slices += [ConcavePL.from_graph_points(graph), ConcavePL.from_graph_points(halved)]
+    polygons = [f for shape in POLYGON_BOXES for f in folded_polygon_slices(rng, shape, 8)]
+    intervals = [f for f in slices if f.m == 1]
+    slices += polygons
+    slices += [sup_convolution(rng.choice(polygons), rng.choice(polygons)) for _ in range(20)]
+    slices += [sup_convolution(rng.choice(intervals), rng.choice(intervals)) for _ in range(40)]
+    slices += [rng.choice(slices).scale(rng.randint(2, 3)) for _ in range(60)]
+    kinds, inside, outside = set(), 0, 0
+    for f in slices:
+        lattice = set(f.domain_lattice_points())
+        for u in widened_lattice_box(f):
+            want = fraction_route_value(f, u)
+            assert f._value(u) == want, (f, u)
+            assert (want is not None) == (u in lattice), (f, u)
+            inside += want is not None
+            outside += want is None
+        for p in rational_probes(rng, f, f.domain_vertices()):
+            assert f.try_evaluate(p) == fraction_route_value(f, p), (f, p)
+        # The lattice sums that read the kernel, against the same sums over the oracle.
+        assert floor_sum_over_lattice(f) == sum(floor(fraction_route_value(f, u)) for u in lattice), f
+        if f.m == 1:
+            (a,), (b,) = f.domain_vertices()[0], f.domain_vertices()[-1]
+            values = [fraction_route_value(f, (u,)) for u in range(floor(a) + 1, ceil(b))]
+            want = sum(ceil(x) if x > 0 else -ceil(-x) for x in values)
+            assert signed_ceiling_interior_sum(f) == want, f
+        shape = "cells" if f._cells else ("point", "segment")[len(f._domain) - 1]
+        kinds.add((f.m, shape, f._den > 1))
+    # Point domains and cells in both dimensions, segments in the plane, each
+    # over den 1 and over den > 1.
+    assert kinds >= {(m, shape, big) for m in (1, 2) for shape in ("point", "cells") for big in (False, True)}
+    assert kinds >= {(2, "segment", False), (2, "segment", True)}
+    assert inside > 2_000 and outside > 2_000
 
 
 def random_interval_setup(rng, curve, width) -> EvaluationSetup:

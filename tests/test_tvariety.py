@@ -354,6 +354,20 @@ def test_cross_checks_catch_a_wrong_weight_record(monkeypatch):
         euler_characteristic(dp)
 
 
+
+def test_weight_records_refuse_points_off_the_box():
+    # The records read the integer kernel, and a weight it cannot read is
+    # refused with the same error as each slice's own `evaluate`.
+    for dp, bad in [(SURFACE, (5,)), (SURFACE, (-1,)), (SURFACE, (1, 0)), (THREEFOLD, (9, 9)), (THREEFOLD, (0,))]:
+        s = next(iter(dp.slices.values()))
+        with pytest.raises(ValueError) as want:
+            s.evaluate(bad)
+        with pytest.raises(ValueError) as got:
+            dp.at(bad)
+        assert str(got.value) == str(want.value), bad
+        assert bad not in dp._at
+
+
 def test_counting_invariants_trivial():
     flat = one_slice_dp([(0, 0), (1, 0)], curve=Curve.p1(7), point=CurvePoint.affine(0, 0, 7))
     assert genus_of_section(flat) == (0, 1, 0)
