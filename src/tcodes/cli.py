@@ -16,7 +16,7 @@ from .codes import (
     EvaluationSetup,
     build_code,
     code_dimension,
-    compare_with_product,
+    compare_ruled_setup,
     d_exact,
     d_lower,
     d_upper,
@@ -116,28 +116,8 @@ def _run_distance(setup: EvaluationSetup, budget: int) -> int:
 
 
 def _run_compare(setup: EvaluationSetup) -> int:
-    dp = setup.dp
-    if dp.m != 1 or len(dp.stored_points()) != 1:
-        print("compare needs a single-slice interval instance", file=sys.stderr)
-        return EXIT_INVALID
-    slice_ = dp.slice_at(dp.stored_points()[0])
-    data = slice_.affine_data()
-    lo, hi = dp.box.bounds()
-    if data is None or lo != 0:
-        print("compare needs an affine slice on a box starting at 0", file=sys.stderr)
-        return EXIT_INVALID
-    (alpha,), b = data
-    if alpha.denominator != 1 or b.denominator != 1:
-        print("compare needs integer slice data", file=sys.stderr)
-        return EXIT_INVALID
-    a = hi
-    if (int(alpha) * a) % 2 != 0:
-        print("compare needs alpha*a even to recover tau", file=sys.stderr)
-        return EXIT_INVALID
-    k1 = a + 1
-    tau = int(b) + int(alpha) * a // 2
     try:
-        rep = compare_with_product(setup.curve, k1, tau, setup.points)
+        rep = compare_ruled_setup(setup)
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return EXIT_INVALID

@@ -798,25 +798,43 @@ def compare_with_product(curve: Curve, k1: int, tau: int, points: list[CurvePoin
     """Match a Reed-Solomon x one-point-AG product against the one-slice code.
 
     The slice parameters are a = k1 - 1, the smallest alpha making alpha*a
-    even (with alpha*a <= 2*tau), and b = tau - alpha*a/2, so the section
-    space dimension equals the product dimension k1 * (tau + 1 - g).
+    even, and b = tau - alpha*a/2, so the section space dimension equals the
+    product dimension k1 * (tau + 1 - g). At k1 = 1 the box is a point and
+    the report reads alpha = 0, as `compare_ruled_setup` does.
     """
-    q, g = curve.p, curve.genus
-    l = len(points)
     a = k1 - 1
-    alpha = 1 if a == 0 else (1 if a % 2 == 0 else 2)
-    if alpha * a > 2 * tau:
+    alpha = 1 if a % 2 == 0 else 2
+    return compare_ruled_setup(EvaluationSetup.build(ruled_divpoly(curve, a, alpha, tau - alpha * a // 2), points))
+
+
+def compare_ruled_setup(setup: EvaluationSetup) -> ProductComparison:
+    """`compare_with_product` for the setup's own code, which must be one
+    affine integral slice b + alpha*u on [0, a] with alpha*a even: the
+    product has k1 = a + 1 and tau = b + alpha*a/2. Every floor degree must
+    exceed 2g - 2 for exact dimensions, so the least one, min(b, b + alpha*a),
+    is the one checked."""
+    dp = setup.dp
+    if dp.m != 1 or len(dp.stored_points()) != 1:
+        raise ValueError("compare needs a single-slice interval instance")
+    data = dp.slice_at(dp.stored_points()[0]).affine_data()
+    lo, a = dp.box.bounds()
+    if data is None or lo != 0:
+        raise ValueError("compare needs an affine slice on a box starting at 0")
+    (alpha,), b = data
+    if alpha.denominator != 1 or b.denominator != 1:
+        raise ValueError("compare needs integer slice data")
+    if alpha * a % 2 != 0:
+        raise ValueError("compare needs alpha*a even to recover tau")
+    alpha, b = int(alpha), int(b)
+    k1, tau, g = a + 1, b + alpha * a // 2, setup.curve.genus
+    least = min(b, b + alpha * a)
+    if least < 0:
         raise ValueError("tau too small for the slice construction")
-    b = tau - alpha * a // 2
-    if b <= 2 * g - 2:
+    if least <= 2 * g - 2:
         raise ValueError("slice offset must exceed 2g-2 for exact dimensions")
-    dp = ruled_divpoly(curve, a, alpha, b)
-    setup = EvaluationSetup.build(dp, points)
-    k_t = _section_count(dp)
-    d_t = d_lower(setup).value
     k_prod = k1 * (tau + 1 - g)
-    d_prod = (q - k1) * (l - tau)
-    return ProductComparison(k1, tau, a, alpha, b, k_prod, d_prod, k_t, d_t)
+    d_prod = (setup.q - k1) * (setup.l - tau)
+    return ProductComparison(k1, tau, a, alpha, b, k_prod, d_prod, _section_count(dp), d_lower(setup).value)
 
 
 def toric_generator(p: int, lattice_points: list[tuple[int, ...]]) -> MatrixFp:

@@ -258,14 +258,6 @@ class ConcavePL:
         """The graph vertices as sorted (point, value) pairs."""
         return tuple((self._exact(p), Fraction(z, self._den)) for p, z in self._pts)
 
-    @cached_property
-    def _facets(self) -> tuple[Facet, ...]:
-        e, w = self._gden, self._den
-        return tuple(
-            (tuple(Fraction(g, e) for g in G), Fraction(C, e * w), tuple(map(self._exact, cell)))
-            for G, C, cell in self._cells
-        )
-
     @classmethod
     def from_graph_points(
         cls, points: Iterable[tuple[Sequence[Fraction | int] | int, Fraction | int]]
@@ -412,11 +404,12 @@ class ConcavePL:
 
     def facets(self) -> tuple[Facet, ...]:
         """Full-dimensional linearity cells with their affine data."""
-        return self._facets
+        return tuple((g, c, tuple(map(self._exact, cell))) for (g, c), (*_, cell) in zip(self.cells(), self._cells))
 
     def cells(self) -> list[tuple[Point, Fraction]]:
         """(gradient, constant) per linearity cell."""
-        return [(g, c) for g, c, _ in self._facets]
+        e, w = self._gden, self._den
+        return [(tuple(Fraction(g, e) for g in G), Fraction(C, e * w)) for G, C, _ in self._cells]
 
     def is_integral(self) -> bool:
         return all(x % self._den == 0 for p, z in self._pts for x in (*p, z))
@@ -424,8 +417,7 @@ class ConcavePL:
     def affine_data(self) -> tuple[Point, Fraction] | None:
         """(gradient, constant) when the function is affine on its whole domain."""
         if len(self._cells) == 1:
-            g, c, _ = self._facets[0]
-            return g, c
+            return self.cells()[0]
         if len(self._pts) == 1:
             return (Fraction(0),) * self.m, self.vertices[0][1]
         if len(self._pts) != 2:

@@ -10,6 +10,11 @@ Format (one declaration per line, '#' starts a comment):
     eval all-admissible | eval <name> ...
 
 Values inside tuples are integers or rationals written n/d, with no spaces.
+
+`parse` checks a file and keeps what it built for the checks: a
+`ProblemSpec` holds the curve, the named points on it, the box, each
+declared graph and the envelope of each graph (its slice), so building the
+polytope and the code setup from a spec envelopes nothing again.
 """
 
 from __future__ import annotations
@@ -33,46 +38,25 @@ class ParseError(ValueError):
 
 @dataclass
 class ProblemSpec:
-    """Structured contents of a problem file, in declaration order."""
+    """Built contents of a problem file, in declaration order."""
 
-    p: int
-    curve_kind: str
-    A: int
-    B: int
+    curve: Curve
     points: dict[str, CurvePoint]
-    box_is_interval: bool
-    box_vertices: list[tuple[int, ...]]
+    box: LatticePolytope
     hstar: dict[str, list[tuple[tuple[int, ...], Fraction]]]
-    eval_names: list[str] | None = None
-    # The envelope of each hstar graph, keyed by the graph as a tuple, as
-    # `parse` built it for its below-the-envelope check.
-    envelopes: dict[tuple, ConcavePL] = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def m(self) -> int:
-        return 1 if self.box_is_interval else 2
-
-    def curve(self) -> Curve:
-        if self.curve_kind == "p1":
-            return Curve.p1(self.p)
-        return Curve.elliptic(self.p, self.A, self.B)
-
-    def box(self) -> LatticePolytope:
-        if self.box_is_interval:
-            (a,), (b,) = self.box_vertices
-            return LatticePolytope.interval(a, b)
-        return LatticePolytope(self.box_vertices)
+    eval_names: list[str] | None
+    # The envelope of each declared graph, by point name: the slice that
+    # `parse` built for its below-the-envelope check.
+    slices: dict[str, ConcavePL] = field(repr=False, compare=False)
 
     def to_polytope(self) -> DivisorialPolytope:
-        curve = self.curve()
         slices: dict[CurvePoint, ConcavePL] = {}
-        for name, graph in self.hstar.items():
+        for name, env in self.slices.items():
             P = self.points[name]
             if P in slices:
                 raise ValueError(f"two slices declared at the same point {P.render()}")
-            env = self.envelopes.get(tuple(graph))
-            slices[P] = ConcavePL.from_graph_points(graph) if env is None else env
-        return DivisorialPolytope(curve, self.box(), slices)
+            slices[P] = env
+        return DivisorialPolytope(self.curve, self.box, slices)
 
     def to_setup(self) -> EvaluationSetup:
         dp = self.to_polytope()
@@ -113,8 +97,7 @@ def parse(text: str) -> ProblemSpec:
     A = B = 0
     points: dict[str, CurvePoint] = {}
     point_lines: dict[str, int] = {}
-    box_is_interval = None
-    box_vertices: list[tuple[int, ...]] = []
+    box: LatticePolytope | None = None
     box_line = 0
     hstar_raw: list[tuple[int, str, list[str]]] = []
     eval_tokens: list[str] | None = None
@@ -185,17 +168,14 @@ def parse(text: str) -> ProblemSpec:
                 b = _as_int(_parse_rational(parts[1], line_no), line_no, "bound")
                 if a > b:
                     raise ParseError(line_no, f"empty interval [{a},{b}]")
-                box_is_interval = True
-                box_vertices = [(a,), (b,)]
+                box = LatticePolytope.interval(a, b)
             elif len(tokens) >= 2 and tokens[1] == "poly":
                 if len(tokens) < 5:
                     raise ParseError(line_no, "a polygon box needs at least three vertices")
-                box_is_interval = False
-                for tok in tokens[2:]:
-                    u1, u2 = _parse_tuple(tok, 2, line_no)
-                    box_vertices.append(
-                        (_as_int(u1, line_no, "vertex"), _as_int(u2, line_no, "vertex"))
-                    )
+                box = LatticePolytope([
+                    tuple(_as_int(u, line_no, "vertex") for u in _parse_tuple(tok, 2, line_no))
+                    for tok in tokens[2:]
+                ])
             else:
                 raise ParseError(line_no, "expected: box [<a>,<b>] | box poly (<u1>,<u2>) ...")
         elif key == "hstar":
@@ -215,11 +195,11 @@ def parse(text: str) -> ProblemSpec:
         raise ParseError(0, "missing field declaration")
     if curve_kind is None:
         raise ParseError(0, "missing curve declaration")
-    if box_is_interval is None:
+    if box is None:
         raise ParseError(0, "missing box declaration")
 
     try:
-        curve = Curve.p1(p) if curve_kind == "p1" else Curve.elliptic(p, A, B)
+        curve = Curve(curve_kind, p, A, B)
     except ValueError as e:
         raise ParseError(0, str(e)) from None
     for name, P in points.items():
@@ -228,9 +208,9 @@ def parse(text: str) -> ProblemSpec:
         if not curve.contains(norm):
             raise ParseError(point_lines[name], f"point {name} is not on the curve")
 
-    arity = 2 if box_is_interval else 3
+    arity = box.m + 1
     hstar: dict[str, list[tuple[tuple[int, ...], Fraction]]] = {}
-    envelopes: dict[tuple, ConcavePL] = {}
+    slices: dict[str, ConcavePL] = {}
     for line_no, name, toks in hstar_raw:
         if name not in points:
             raise ParseError(line_no, f"unknown point {name!r} in hstar")
@@ -253,7 +233,7 @@ def parse(text: str) -> ProblemSpec:
                     line_no, f"graph point {pos} with value {val} is below the concave envelope"
                 )
         hstar[name] = graph
-        envelopes[tuple(graph)] = env
+        slices[name] = env
 
     eval_names: list[str] | None = None
     if eval_tokens is not None and eval_tokens != ["all-admissible"]:
@@ -264,31 +244,27 @@ def parse(text: str) -> ProblemSpec:
             raise ParseError(eval_line, "repeated point in eval")
         eval_names = eval_tokens
 
-    if not box_is_interval:
-        poly = LatticePolytope(box_vertices)
-        if not poly.is_full_dimensional():
-            raise ParseError(box_line, "polygon box is degenerate")
+    if box.m == 2 and not box.is_full_dimensional():
+        raise ParseError(box_line, "polygon box is degenerate")
 
-    return ProblemSpec(
-        p, curve_kind, A, B, points, box_is_interval, box_vertices, hstar, eval_names, envelopes
-    )
+    return ProblemSpec(curve, points, box, hstar, eval_names, slices)
 
 
 def render(spec: ProblemSpec) -> str:
     """Canonical text for a spec; parse(render(s)) round-trips."""
-    lines = [f"field p={spec.p}"]
-    if spec.curve_kind == "p1":
+    curve, box = spec.curve, spec.box
+    lines = [f"field p={curve.p}"]
+    if curve.is_p1:
         lines.append("curve p1")
     else:
-        lines.append(f"curve elliptic A={spec.A} B={spec.B}")
+        lines.append(f"curve elliptic A={curve.A} B={curve.B}")
     for name, P in spec.points.items():
         val = "infinity" if P.is_infinity else f"({P.x},{P.y})"
         lines.append(f"point {name} = {val}")
-    if spec.box_is_interval:
-        (a,), (b,) = spec.box_vertices
-        lines.append(f"box [{a},{b}]")
+    if box.m == 1:
+        lines.append("box [{},{}]".format(*box.bounds()))
     else:
-        verts = " ".join(f"({u1},{u2})" for u1, u2 in spec.box_vertices)
+        verts = " ".join(f"({u1},{u2})" for u1, u2 in box.vertices)
         lines.append(f"box poly {verts}")
     for name, graph in spec.hstar.items():
         entries = " ".join(

@@ -322,6 +322,81 @@ def test_compare_rejects_multi_slice(capsys):
     assert "single-slice" in err
 
 
+E7_HEAD = "field p=7\ncurve elliptic A=0 B=3\npoint Q1 = (1,2)\n"
+P1_HEAD = "field p=7\ncurve p1\npoint Q1 = (0,0)\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (P1_HEAD + "box poly (0,0) (2,0) (0,2)\nhstar Q1 : (0,0,0) (2,0,0) (0,2,0)\n",
+         "compare needs a single-slice interval instance"),
+        (E7_HEAD + "box [0,2]\n", "compare needs a single-slice interval instance"),
+        (E7_HEAD + "box [1,3]\nhstar Q1 : (1,3) (3,5)\n", "compare needs an affine slice on a box starting at 0"),
+        (E7_HEAD + "box [0,4]\nhstar Q1 : (0,3) (2,5) (4,3)\n",
+         "compare needs an affine slice on a box starting at 0"),
+        (E7_HEAD + "box [0,2]\nhstar Q1 : (0,3) (2,4)\n", "compare needs integer slice data"),
+        (E7_HEAD + "box [0,2]\nhstar Q1 : (0,5/2) (2,9/2)\n", "compare needs integer slice data"),
+        (E7_HEAD + "box [0,1]\nhstar Q1 : (0,3) (1,4)\n", "compare needs alpha*a even to recover tau"),
+        (P1_HEAD + "box [0,2]\nhstar Q1 : (0,-1) (2,1)\n", "tau too small for the slice construction"),
+        (E7_HEAD + "box [0,2]\nhstar Q1 : (0,0) (2,2)\n", "slice offset must exceed 2g-2 for exact dimensions"),
+    ],
+)
+def test_compare_refusals(tmp_path, capsys, body, message):
+    f = tmp_path / "refused.tcode"
+    f.write_text(body)
+    code, out, err = run(capsys, ["compare", str(f)])
+    assert (code, out, err) == (EXIT_INVALID, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # E(F_7), slope -2 from 3: the floor degree at u = 2 is -1.
+        (E7_HEAD + "box [0,2]\nhstar Q1 : (0,3) (2,-1)\n", "tau too small for the slice construction"),
+        # E(F_7), slope -2 from 4: the floor degree at u = 2 is 0 = 2g - 2.
+        (E7_HEAD + "box [0,2]\nhstar Q1 : (0,4) (2,0)\n", "slice offset must exceed 2g-2 for exact dimensions"),
+        # P^1, slope -2 from 3: the floor degree at u = 2 is -1.
+        (P1_HEAD + "box [0,2]\nhstar Q1 : (0,3) (2,-1)\n", "tau too small for the slice construction"),
+    ],
+)
+def test_compare_refuses_a_descending_slope_by_its_least_degree(tmp_path, capsys, body, message):
+    f = tmp_path / "descending.tcode"
+    f.write_text(body)
+    code, out, err = run(capsys, ["compare", str(f)])
+    assert (code, out, err) == (EXIT_INVALID, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "head, n, l",
+    [(P1_HEAD, 48, 8), (E7_HEAD, 78, 13)],
+)
+def test_compare_reads_the_file_slope(tmp_path, capsys, head, n, l):
+    # Slope 3 on [0, 2]: the comparison is the file's own code, whose d_lower
+    # `tcode info` prints, with the file's alpha and b.
+    f = tmp_path / "slope3.tcode"
+    f.write_text(head + "box [0,2]\nhstar Q1 : (0,1) (2,7)\n")
+    code, info, _ = run(capsys, ["info", str(f)])
+    assert code == EXIT_OK and f"n = {n}\n" in info
+    d_info = next(line for line in info.splitlines() if line.startswith("d_lower = "))[len("d_lower = "):]
+    code, out, _ = run(capsys, ["compare", str(f)])
+    assert code == EXIT_OK
+    got = dict(line.split(" = ") for line in out.splitlines())
+    assert (got["k1"], got["tau"], got["a"], got["alpha"], got["b"]) == ("3", "4", "2", "3", "1")
+    assert got["d_tcode"] == d_info
+    assert got["d_product"] == str((7 - 3) * (l - 4))
+    if head == E7_HEAD:
+        assert d_info == "36"
+
+
+def test_compare_point_box_reads_slope_zero(tmp_path, capsys):
+    f = tmp_path / "point.tcode"
+    f.write_text(E7_HEAD + "box [0,0]\nhstar Q1 : (0,3)\n")
+    code, out, _ = run(capsys, ["compare", str(f)])
+    assert code == EXIT_OK
+    assert out.splitlines()[:5] == ["k1 = 1", "tau = 3", "a = 0", "alpha = 0", "b = 3"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     f = tmp_path / "broken.tcode"
     f.write_text("field p=7\ncurve p1\nbox oops\n")

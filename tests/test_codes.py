@@ -345,10 +345,52 @@ def test_compare_with_product_builds_no_basis(monkeypatch):
 
 def test_compare_with_product_validation():
     points = E7.rational_points()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau too small for the slice construction"):
         compare_with_product(E7, 3, 0, points)  # alpha * a exceeds 2 tau
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slice offset must exceed 2g-2 for exact dimensions"):
         compare_with_product(E7, 5, 2, points)  # b falls to 2g - 2
+
+
+def test_compare_ruled_setup_matches_the_canonical_family():
+    # On the slopes compare_with_product chooses, the file route compares the
+    # same numbers, wherever the slice sits and whichever points evaluate.
+    checked = 0
+    for curve in (Curve.p1(7), E7, Curve.elliptic(11, 1, 1)):
+        points = curve.rational_points()
+        for a, b, P in itertools.product(range(5), range(1, 4), points[:: max(1, len(points) // 3)]):
+            alpha = 1 if a % 2 == 0 else 2
+            setup = EvaluationSetup.build(ruled_divpoly(curve, a, alpha, b, P))
+            got = codes.compare_ruled_setup(setup)
+            assert got == compare_with_product(curve, a + 1, b + alpha * a // 2, setup.points), (curve, a, b, P)
+            checked += 1
+    assert checked >= 100
+
+
+def test_compare_ruled_setup_refuses_by_the_least_floor_degree():
+    # Every floor degree b + alpha*u must exceed 2g - 2 for the product
+    # dimension to hold, so the least one decides, whichever way the slope
+    # runs; whatever is compared has matching dimensions.
+    compared = 0
+    for curve in (Curve.p1(7), E7):
+        g = curve.genus
+        for a, alpha, b in itertools.product(range(5), range(-3, 4), range(-2, 5)):
+            if (a == 0 and alpha != 0) or alpha * a % 2:
+                continue
+            least = min(b, b + alpha * a)
+            setup = EvaluationSetup.build(ruled_divpoly(curve, a, alpha, b))
+            if least < 0:
+                message = "tau too small for the slice construction"
+            elif least <= 2 * g - 2:
+                message = "slice offset must exceed 2g-2 for exact dimensions"
+            else:
+                got = codes.compare_ruled_setup(setup)
+                assert (got.a, got.alpha, got.b) == (a, alpha, b)
+                assert got.k_matches, (curve.genus, a, alpha, b)
+                compared += 1
+                continue
+            with pytest.raises(ValueError, match=message):
+                codes.compare_ruled_setup(setup)
+    assert compared >= 60
 
 
 def test_product_comparison_counterexample_pin():

@@ -25,9 +25,9 @@ eval all-admissible
 
 def test_sample_file_parses():
     spec = parse(SAMPLE.read_text())
-    assert spec.p == 7
-    assert spec.curve_kind == "elliptic"
-    assert spec.m == 1
+    assert spec.curve.p == 7
+    assert spec.curve.kind == "elliptic"
+    assert spec.box.m == 1
     assert sorted(spec.points) == ["Q1", "Q2"]
     assert spec.to_polytope() == surface_example(standard_elliptic())
     setup = spec.to_setup()
@@ -36,28 +36,53 @@ def test_sample_file_parses():
 
 def test_threefold_file_parses():
     spec = parse(THREEFOLD_TEXT)
-    assert spec.m == 2
+    assert spec.box.m == 2
     assert spec.to_polytope() == threefold_example()
     assert spec.to_setup().n == 180
 
 
+# A point interval: only a polygon box is refused as degenerate.
+POINT_BOX_TEXT = "field p=7\ncurve p1\npoint R = (0,0)\nbox [3,3]\nhstar R : (3,2)\n"
+
+# Declared out of hull order, with (2,0) on the edge from (0,0) to (4,0),
+# over unreduced curve coefficients; the spec keeps the hull and the residues.
+POLYGON_TEXT = """\
+field p=7
+curve elliptic A=7 B=10
+point Q1 = (1,2)
+box poly (4,0) (0,2) (2,0) (0,0) (4,2)
+hstar Q1 : (0,0,0) (4,0,2) (0,2,1) (4,2,3)
+eval all-admissible
+"""
+
+
 def test_round_trip():
-    for text in (SAMPLE.read_text(), THREEFOLD_TEXT):
+    demos = [path.read_text() for path in sorted(SAMPLE.parent.glob("*.tcode"))]
+    assert len(demos) == 2
+    for text in (THREEFOLD_TEXT, POINT_BOX_TEXT, POLYGON_TEXT, *demos):
         spec = parse(text)
         out = render(spec)
         assert out.endswith("\n")
         again = parse(out)
         assert again == spec
+        assert again.to_polytope() == spec.to_polytope()
         assert render(again) == out
+
+
+def test_polygon_renders_its_hull_and_reduced_coefficients():
+    spec = parse(POLYGON_TEXT)
+    assert spec.box.vertices == ((0, 0), (4, 0), (4, 2), (0, 2))
+    assert (spec.curve.A, spec.curve.B) == (0, 3)
+    lines = render(spec).splitlines()
+    assert lines[1] == "curve elliptic A=0 B=3"
+    assert lines[3] == "box poly (0,0) (4,0) (4,2) (0,2)"
 
 
 def test_build_reuses_the_parsed_envelopes():
     spec = parse(THREEFOLD_TEXT)
     built = spec.to_polytope()
-    assert all(built.slices[spec.points[name]] is spec.envelopes[tuple(graph)] for name, graph in spec.hstar.items())
-    # A graph changed after parsing is enveloped afresh.
-    spec.hstar["P0"] = [(v, 0) for v, _ in spec.hstar["P0"]]
-    assert spec.to_polytope().slices[spec.points["P0"]].affine_data() == ((0, 0), 0)
+    assert spec.slices.keys() == spec.hstar.keys()
+    assert all(built.slices[spec.points[name]] is spec.slices[name] for name in spec.hstar)
 
 
 def test_point_coordinates_normalized():
@@ -114,7 +139,7 @@ def test_comments_and_blank_lines_ignored():
         "box [0,1]\nhstar R : (0,0) (1,1)\n"
     )
     spec = parse(text)
-    assert spec.p == 7
+    assert spec.curve.p == 7
 
 
 def test_explicit_eval_names():
