@@ -62,10 +62,14 @@ def _run_validate(dp: DivisorialPolytope) -> int:
 
 def _run_info(setup: EvaluationSetup) -> int:
     dp = setup.dp
+    # Everything is computed before the first line, so a refusal prints nothing.
     k = code_dimension(setup)
     kb = k_bounds(dp)
     low = d_lower(setup)
     up = d_upper(setup)
+    vol = volume(dp)
+    weil = weil_divisor(dp).render()
+    forms = [genus_of_section(dp), euler_characteristic(dp)] if dp.m == 1 else []
     print(f"n = {setup.n}")
     print(f"k = {k}")
     print(f"k_lower = {kb.lower}")
@@ -74,18 +78,13 @@ def _run_info(setup: EvaluationSetup) -> int:
     print(f"k_equality = {str(kb.equality_case).lower()}")
     print(f"d_lower = {low.value}")
     print(f"d_upper = {up.value}")
-    vol = volume(dp)
     print(f"vol = {vol}")
     print(f"degree = {factorial(dp.m + 1) * vol}")  # self_intersection(dp)
     print(f"degree_alt = {vol}")
-    print(f"weil = {weil_divisor(dp).render()}")
-    if dp.m == 1:
-        g_const, g_coeff, g_val = genus_of_section(dp)
-        e_const, e_coeff, e_val = euler_characteristic(dp)
-        print(f"genus = {g_val}")
-        print(f"genus_form = {_linear_form(g_const, g_coeff)}")
-        print(f"euler = {e_val}")
-        print(f"euler_form = {_linear_form(e_const, e_coeff)}")
+    print(f"weil = {weil}")
+    for name, (const, coeff, value) in zip(("genus", "euler"), forms):
+        print(f"{name} = {value}")
+        print(f"{name}_form = {_linear_form(const, coeff)}")
     return EXIT_OK
 
 

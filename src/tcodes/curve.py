@@ -106,9 +106,6 @@ class Curve:
         pts.append(INFINITY)
         return pts
 
-    def point_count(self) -> int:
-        return len(self.rational_points())
-
     def group_neg(self, P: CurvePoint) -> CurvePoint:
         self._require_elliptic()
         if P.is_infinity:

@@ -232,6 +232,15 @@ def test_info_threefold_omits_curve_forms(capsys):
     assert "euler" not in out
 
 
+def test_info_refusal_prints_nothing(tmp_path, capsys):
+    # A point box parses, and k and the distance bounds exist, but the Weil
+    # divisor does not: the refusal must come before any line of output.
+    path = tmp_path / "point.tcode"
+    path.write_text("field p=7\ncurve p1\npoint R = (0,0)\nbox [3,3]\nhstar R : (3,2)\n")
+    code, out, err = run(capsys, ["info", str(path)])
+    assert (code, out, err) == (EXIT_INVALID, "", "Weil divisor expansion needs a full-dimensional box\n")
+
+
 def test_genmat(capsys):
     code, out, _ = run(capsys, ["genmat", SAMPLE])
     assert code == EXIT_OK

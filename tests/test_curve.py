@@ -65,7 +65,7 @@ def test_curve_constructors_and_validation():
 
 def test_rational_points_frozen():
     pts = E7.rational_points()
-    assert len(pts) == 13 and E7.point_count() == 13
+    assert len(pts) == 13
     affine = [(P.x, P.y) for P in pts if not P.is_infinity]
     assert affine == [
         (1, 2), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4),

@@ -34,7 +34,7 @@ from tcodes import (
 )
 from tcodes import tvariety
 from tcodes.convex import make_point
-from tcodes.curve import Divisor, riemann_roch_basis
+from tcodes.curve import Divisor, is_principal, riemann_roch_basis
 from tcodes.tvariety import RayTerm, TWeilDivisor, VertexTerm
 from tcodes.instances import (
     HEXAGON_VERTICES,
@@ -95,9 +95,29 @@ def test_validate_rejects_fractional_graph_vertices():
     assert not report.conditions[2].ok
 
 
+def reference_principal_multiple(curve, D) -> int | None:
+    """Smallest k >= 1 with k*D integral and principal, searched up to the
+    class-group-order bound den(D) * #Y(F_p); None when the search fails.
+
+    The oracle for `validate`'s principal-multiple row, which passes without
+    searching because this search always succeeds over a prime field.
+    """
+    den = lcm(*[c.denominator for c in D.coeffs.values()]) if D.coeffs else 1
+    bound = den * len(curve.rational_points())
+    for k in range(den, bound + 1, den):
+        if is_principal(curve, D.scale(k)):
+            return k
+    return None
+
+
+def group_order(curve, P) -> int:
+    order, acc = 1, P
+    while not acc.is_infinity:
+        order, acc = order + 1, curve.group_add(acc, P)
+    return order
+
+
 def test_validate_finds_principal_multiple():
-    # Vertex value Q1 - inf has degree zero and order 13 in the class group,
-    # so the principal-multiple search has to walk out to the 13th multiple.
     dp = DivisorialPolytope(
         E7,
         LatticePolytope.interval(0, 2),
@@ -106,10 +126,46 @@ def test_validate_finds_principal_multiple():
             INFINITY: ConcavePL.from_graph_points([(0, -1), (2, -1)]),
         },
     )
+    # Vertex value Q1 - inf has degree zero and order 13 in the class group,
+    # so the search has to walk out to the 13th multiple.
+    assert reference_principal_multiple(E7, dp.at((0,)).value) == 13
     report = validate(dp)
     assert report.ok
     assert is_semiample(dp)
     assert not is_ample(dp)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+@pytest.mark.parametrize("kind", ["p1", "elliptic"])
+def test_principal_multiple_always_exists(kind, p):
+    # den*D is a degree-0 divisor on rational points, so its class lies in
+    # Pic^0(Y)(F_p): trivial on P^1 and E(F_p) on E, whose order bounds the
+    # search, so the row that `validate` passes without a search holds.
+    curve = Curve.p1(p) if kind == "p1" else standard_elliptic(p)
+    points = curve.rational_points()
+    rng = random.Random(1000 * p + len(kind))
+    for _ in range(20):
+        d = rng.randint(1, 4)
+        support = rng.sample(points, rng.randint(1, min(4, len(points))))
+        nums = [rng.randint(-6, 6) for _ in support[1:]]
+        D = Divisor(dict(zip(support, [Fraction(-sum(nums), d)] + [Fraction(n, d) for n in nums])))
+        den = lcm(*[c.denominator for c in D.coeffs.values()]) if D.coeffs else 1
+        k = reference_principal_multiple(curve, D)
+        assert k is not None and k % den == 0 and k <= den * len(points)
+        if curve.is_p1:
+            assert k == den
+        else:
+            total = INFINITY
+            for P, c in D.scale(den).items():
+                total = curve.group_add(total, curve.group_multiple(c, P))
+            assert k == den * group_order(curve, total)
+        # The same value at both vertices, or at the left one only.
+        rise = rng.randint(0, 1)
+        slices = {P: ConcavePL.from_graph_points([(0, c), (2, c + rise)]) for P, c in D.items()}
+        report = validate(DivisorialPolytope(curve, LatticePolytope.interval(0, 2), slices))
+        assert report.conditions[1].name == "principal-multiple-at-degree-zero-vertices"
+        assert report.conditions[1].ok and report.conditions[1].detail == "ok"
+        assert report.semiample
 
 
 def test_ampleness():
